@@ -224,12 +224,12 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     The summary preserves the input value order regardless of the
     execution order.
     """
-    from .config import _SCHEMA
+    from .config import _SCHEMA, _parse_float
 
     caster = _SCHEMA.get(param)
     if caster is None:
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    if caster not in (int, float):
+    if caster not in (int, _parse_float):
         raise ConfigError(f"sweep parameter {param!r} is not scalar")
     os.makedirs(out_dir, exist_ok=True)
     jobs = []

@@ -8,11 +8,12 @@ a run.  Scenario-specific keys are namespaced (`shell.mass`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "load_config", "format_config"]
+__all__ = ["RunConfig", "parse_config", "load_config"]
 
 
 def _parse_bool(text):
@@ -24,37 +25,44 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(text):
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_parse_float(part) for part in text.split(","))
 
 
 _SCHEMA = {
     "scenario": str,
     "seed": int,
-    "t_end": float,
-    "output_cadence": float,
-    "dt_initial": float,
-    "dt_safety": float,
+    "t_end": _parse_float,
+    "output_cadence": _parse_float,
+    "dt_initial": _parse_float,
+    "dt_safety": _parse_float,
     "reflection": _parse_bool,
     "r_grid": _parse_float_list,
     "q_list": _parse_float_list,
     "n_bins": int,
     "snapshot_times": _parse_float_list,
-    "shell.mass": float,
-    "shell.r_inner": float,
-    "shell.r_outer": float,
-    "shell.w_min": float,
-    "shell.w_max": float,
-    "shell.ell_min": float,
-    "shell.ell_max": float,
+    "shell.mass": _parse_float,
+    "shell.r_inner": _parse_float,
+    "shell.r_outer": _parse_float,
+    "shell.w_min": _parse_float,
+    "shell.w_max": _parse_float,
+    "shell.ell_min": _parse_float,
+    "shell.ell_max": _parse_float,
     "shell.n": int,
-    "core.mass": float,
-    "core.radius": float,
+    "core.mass": _parse_float,
+    "core.radius": _parse_float,
     "core.n": int,
-    "kurth.k": float,
+    "kurth.k": _parse_float,
 }
 
 _SCENARIOS = ("shell", "core", "shell_plus_core", "kurth")
@@ -169,19 +177,3 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
 
-
-def format_config(config: RunConfig):
-    """Canonical text form (used by manifests), sorted by key."""
-    parts = []
-    for key in sorted(config.values):
-        value = config.values[key]
-        if isinstance(value, tuple):
-            rendered = ",".join(repr(float(x)) for x in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        parts.append(f"{key} = {rendered}")
-    return "\n".join(parts) + "\n"

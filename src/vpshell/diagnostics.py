@@ -34,16 +34,17 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _sorted_mass_profile(r, mass):
-    """Radii in increasing order plus the inclusive mass prefix sums.
+    """Radii and masses in increasing radius plus the mass prefix sums.
 
     Ties are broken by original index (stable sort); enclosed-mass
     queries use strict comparison, so coincident radii never see each
-    other's mass.
+    other's mass.  `prefix[k]` is the mass of the first k shells.
     """
     order = np.argsort(r, kind="stable")
     r_sorted = r[order]
-    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
-    return r_sorted, prefix
+    m_sorted = mass[order]
+    prefix = np.concatenate(([0.0], np.cumsum(m_sorted)))
+    return r_sorted, m_sorted, prefix
 
 
 def _enclosed(r_sorted, prefix, radii):
@@ -63,11 +64,18 @@ def cumulative_mass(ensemble: Ensemble, r):
         raise DomainError("query radius must be finite")
     if np.any(r_arr < 0.0):
         raise DomainError("query radius must be >= 0")
-    r_sorted, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
     out = _enclosed(r_sorted, prefix, r_arr)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _field_energy(r_sorted, prefix):
+    inv_r = 1.0 / r_sorted
+    inner = prefix[1:-1] ** 2 * (inv_r[:-1] - inv_r[1:])
+    tail = prefix[-1] ** 2 * inv_r[-1]
+    return float((np.sum(inner) + tail) / (8.0 * math.pi))
 
 
 def potential_energy(ensemble: Ensemble):
@@ -83,11 +91,8 @@ def potential_energy(ensemble: Ensemble):
     shells.  The result is >= 0; a lone shell of mass M at radius r
     contributes exactly M^2 / (8 pi r).
     """
-    r_sorted, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
-    inv_r = 1.0 / r_sorted
-    inner = prefix[1:-1] ** 2 * (inv_r[:-1] - inv_r[1:])
-    tail = prefix[-1] ** 2 * inv_r[-1]
-    return float((np.sum(inner) + tail) / (8.0 * math.pi))
+    r_sorted, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    return _field_energy(r_sorted, prefix)
 
 
 def kinetic_energy(ensemble: Ensemble):
@@ -148,124 +153,111 @@ def concentration_mass(ensemble: Ensemble, d, R):
     return float(np.sum(ensemble.mass * _cap_fractions(ensemble.r, d, R)))
 
 
-class _BallMassEvaluator:
-    """Fast repeated evaluation of the mass inside off-centre balls.
+def _ball_mass(r, mass, prefix, d, R):
+    # concentration_mass over radii sorted increasingly: shells below
+    # R - d lie wholly inside the ball, shells in [|R - d|, R + d] are
+    # cut by its surface.
+    i0 = np.searchsorted(r, abs(R - d), side="left")
+    i1 = np.searchsorted(r, R + d, side="right")
+    inside = float(prefix[i0]) if d < R else 0.0
+    return inside + float(np.dot(mass[i0:i1], _cap_fractions(r[i0:i1], d, R)))
 
-    Sorting the radii once lets each centre distance d split the shells
-    into fully-inside (prefix sum), fully-outside, and a partial band
-    |d - R| < r < d + R where the cap formula is needed.
+
+def _concentration(r, mass, prefix, total, R):
+    """Q(R) and the centre distance attaining it, radii sorted increasingly.
+
+    A shell of radius r lies wholly inside the ball for d < R - r, is
+    cut by its surface for |R - r| < d < R + r, and lies outside
+    otherwise.  Between consecutive breakpoints {|R - r_i|, R + r_i}
+    the ball mass is therefore exactly
+
+        C - W / (4 d) - d S / 4,   C = M_in + S0 / 2,  W = S1 - R^2 S,
+
+    with S0, S1, S the sums of m, m r and m / r over the cut band.  It
+    is concave where W > 0 and decreasing elsewhere, so its maximum on
+    an interval sits at d* = sqrt(W / S) clipped to the interval.
     """
+    if R <= 0.0 or not np.isfinite(R):
+        raise DomainError("ball radius must be positive and finite")
+    k0 = int(np.searchsorted(r, R, side="left"))
+    if k0 == r.size:
+        # R > r_max: a ball at the origin already contains every shell.
+        return total, 0.0
+    # d -> 0+: shells on the sphere |x| = R are cut exactly in half.
+    k1 = int(np.searchsorted(r, R, side="right"))
+    at_zero = float(prefix[k0] + 0.5 * (prefix[k1] - prefix[k0]))
+    if at_zero >= total:
+        return total, 0.0
+    # Each shell enters the band at |R - r| and leaves it at R + r.  The
+    # three runs of breakpoints (r < R reversed, r >= R, and R + r) are
+    # each increasing, so the stable sort is a merge.  A shell entering
+    # from inside moves half its mass out of C, one entering from
+    # outside adds half, and one leaving takes its half away.
+    d = np.concatenate((R - r[:k0][::-1], r[k0:] - R, R + r))
+    order = np.argsort(d, kind="stable")
+    d = d[order]
 
-    def __init__(self, ensemble, R):
-        order = np.argsort(ensemble.r, kind="stable")
-        self.r = ensemble.r[order]
-        self.mass = ensemble.mass[order]
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.mass)))
-        self.R = float(R)
+    def band_sums(enter, leave):
+        return np.cumsum(np.concatenate((enter[:k0][::-1], enter[k0:], leave))[order])
 
-    def __call__(self, d):
-        R = self.R
-        r, mass, prefix = self.r, self.mass, self.prefix
-        if d == 0.0:
-            return float(prefix[np.searchsorted(r, R, side="left")])
-        i0 = np.searchsorted(r, abs(R - d), side="left")
-        i1 = np.searchsorted(r, R + d, side="right")
-        base = float(prefix[i0]) if d < R else 0.0
-        if i1 > i0:
-            seg = r[i0:i1]
-            base += float(np.dot(mass[i0:i1], _cap_fractions(seg, d, R)))
-        return base
+    half = 0.5 * mass
+    inv = mass / r
+    w = (r - R) * (r + R) * inv
+    c = prefix[k0] + band_sums(np.concatenate((-half[:k0], half[k0:])), -half)
+    w = band_sums(w, -w)
+    s = band_sums(inv, -inv)
+    # Breakpoints at d = 0 belong to shells on |x| = R, whose W is zero:
+    # their interval starts at the d -> 0+ limit already counted.  The
+    # band after the last breakpoint is empty.
+    j = int(np.searchsorted(d, 0.0, side="right"))
+    lo, hi = d[j:-1], d[j + 1:]
+    c, w, s = c[j:-1], w[j:-1], s[j:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax/fmin map the NaN of an empty band (0 / 0) to its left end.
+        centres = np.fmin(np.fmax(np.sqrt(np.maximum(w, 0.0) / s), lo), hi)
+    values = c - w / (4.0 * centres) - 0.25 * centres * s
+    values = np.concatenate(([at_zero], values))
+    centres = np.concatenate(([0.0], centres))
+    best_d = float(centres[int(np.argmax(values))])
+    if best_d == 0.0:
+        return min(at_zero, total), 0.0
+    return min(_ball_mass(r, mass, prefix, best_d, R), total), best_d
 
 
-def _concentration_at_centers(ensemble, d_values, R):
-    """Vectorised concentration_mass over an array of centre distances."""
-    evaluate = _BallMassEvaluator(ensemble, R)
-    return np.array([evaluate(float(d)) for d in np.asarray(d_values).ravel()])
-
-
-def concentration_function(ensemble: Ensemble, R, n_grid=256, rel_tol=1e-6,
-                           return_center=False):
+def concentration_function(ensemble: Ensemble, R, return_center=False):
     """sup over centre positions of the mass inside a ball of radius R.
 
     For a spherically symmetric density the supremum over centres in
-    3-space reduces to a one-dimensional search over the centre
-    distance d.  The search scans `n_grid` centres on [0, R2 + R]
-    (R2 = outermost radius) and refines competitive cells by iterated
-    local scans down to relative tolerance `rel_tol` on d.  The
-    objective is piecewise smooth with one kink per particle; overlaps
-    can hide narrow secondary peaks inside a grid cell, so the result
-    is a lower bound on the supremum, tight to rel_tol for smooth
-    profiles and never observed worse than 1e-4 of the total mass on
-    adversarial few-particle inputs (cross-checked against dense-scan
-    and Monte-Carlo oracles in the tests).
+    3-space reduces to one over the centre distance d.  The ball mass
+    is a closed form in d between consecutive shell breakpoints, so the
+    supremum is exact: the largest value at the breakpoints and at the
+    interior stationary points, re-evaluated at the winning centre with
+    the direct cap sum and never above the total mass.  The tests check
+    it against a brute-force breakpoint oracle, a dense scan and
+    Monte-Carlo sampling.
+
+    When shells lie exactly on the sphere |x| = R the supremum may be
+    the limit d -> 0+, which counts those shells at half their mass;
+    `concentration_mass` at d = 0 counts only r < R.
 
     With `return_center` the best centre distance is returned alongside
     the mass.
     """
-    if R <= 0.0 or not np.isfinite(R):
-        raise DomainError("ball radius must be positive and finite")
-    r2 = float(ensemble.r.max())
-    total = ensemble.total_mass
-    if R > r2:
-        # A ball at the origin already contains every shell.
-        return (total, 0.0) if return_center else total
-    hi = r2 + R
-    f = _BallMassEvaluator(ensemble, R)
-    grid = np.linspace(0.0, hi, n_grid)
-    vals = np.array([f(float(d)) for d in grid])
-    best = float(vals.max())
-    best_d = float(grid[int(np.argmax(vals))])
-    if best >= total * (1.0 - 1.0e-12):
-        # the scan already captures everything; nothing to refine
-        best = float(min(best, total))
-        return (best, best_d) if return_center else best
-
-    def zoom(lo_d, hi_d):
-        # Iterated 33-point scans.  Cap overlaps give the objective a
-        # fine sawtooth, so a bracket is not unimodal and plain
-        # golden-section can stall on a plateau; rescanning at every
-        # level is robust to structure down to the final width.
-        found = -np.inf
-        found_d = lo_d
-        tol = rel_tol * max(hi, 1.0e-30)
-        while True:
-            sub = np.linspace(lo_d, hi_d, 33)
-            sub_vals = [f(float(d)) for d in sub]
-            j = int(np.argmax(sub_vals))
-            if sub_vals[j] > found:
-                found = sub_vals[j]
-                found_d = float(sub[j])
-            if hi_d - lo_d <= tol:
-                return found, found_d
-            lo_d = sub[max(j - 1, 0)]
-            hi_d = sub[min(j + 1, 32)]
-
-    # Candidate cells flank competitive scan samples.  The best two get
-    # a full zoom; the rest are probed with 9 points and zoomed only if
-    # a probe beats the current best, which bounds the work on broad
-    # flat maxima while still catching narrow secondary peaks.
-    order = np.argsort(vals, kind="stable")[::-1]
-    cutoff = best - 1.0e-2 * total
-    cells = []
-    seen = set()
-    for i in order[:32]:
-        if vals[i] < cutoff:
-            break
-        for j in (int(i) - 1, int(i)):
-            if 0 <= j < n_grid - 1 and j not in seen:
-                seen.add(j)
-                cells.append(j)
-    for rank, j in enumerate(cells[:16]):
-        lo_d, hi_d = grid[j], grid[j + 1]
-        if rank >= 2:
-            probe = max(f(float(d)) for d in np.linspace(lo_d, hi_d, 11)[1:-1])
-            if probe <= best:
-                continue
-        found, found_d = zoom(lo_d, hi_d)
-        if found > best:
-            best, best_d = found, found_d
-    best = float(min(best, total))
+    r, mass, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R))
     return (best, best_d) if return_center else best
+
+
+def _radial_profile(r, prefix, n_bins):
+    # Bins are [e_k, e_k+1) and the last one is closed, as in np.histogram.
+    n_bins = int(n_bins)
+    if n_bins < 1:
+        raise DomainError("need at least one bin")
+    edges = np.linspace(0.0, float(r[-1]), n_bins + 1)
+    idx = np.append(np.searchsorted(r, edges[:-1], side="left"), r.size)
+    binned = prefix[idx[1:]] - prefix[idx[:-1]]
+    volume = (FOUR_PI / 3.0) * (edges[1:] ** 3 - edges[:-1] ** 3)
+    return RadialDensityProfile(edges, binned / volume)
 
 
 def build_radial_profile(ensemble: Ensemble, n_bins):
@@ -273,14 +265,8 @@ def build_radial_profile(ensemble: Ensemble, n_bins):
 
     The binned mass equals the total mass up to summation rounding.
     """
-    n_bins = int(n_bins)
-    if n_bins < 1:
-        raise DomainError("need at least one bin")
-    r2 = float(ensemble.r.max())
-    edges = np.linspace(0.0, r2, n_bins + 1)
-    binned, _ = np.histogram(ensemble.r, bins=edges, weights=ensemble.mass)
-    volume = (FOUR_PI / 3.0) * (edges[1:] ** 3 - edges[:-1] ** 3)
-    return RadialDensityProfile(edges, binned / volume)
+    r, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    return _radial_profile(r, prefix, n_bins)
 
 
 def lq_norm(profile: RadialDensityProfile, q):
@@ -328,24 +314,28 @@ def diagnostics_record(
     `q_list` the exponents for density norms.  `n_bins` defaults to
     ceil(sqrt(N)).  `inner_radius_shell` tracks the tagged shell
     subpopulation when present, otherwise the global minimum radius.
+    The radii are sorted once; the field energy, every concentration
+    radius and the histogram share that order.
     """
     t = ensemble.time if time is None else float(time)
+    r, mass, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
     e_kin = kinetic_energy(ensemble)
-    e_pot = potential_energy(ensemble)
+    e_pot = _field_energy(r, prefix)
     conc = tuple(
-        (float(R), concentration_function(ensemble, R)) for R in r_grid
+        (R, _concentration(r, mass, prefix, ensemble.total_mass, R)[0])
+        for R in map(float, r_grid)
     )
     if q_list:
         if n_bins is None:
             n_bins = int(math.ceil(math.sqrt(ensemble.n)))
-        profile = build_radial_profile(ensemble, n_bins)
+        profile = _radial_profile(r, prefix, n_bins)
         norms = tuple((float(q), lq_norm(profile, q)) for q in q_list)
     else:
         norms = ()
     if ensemble.has_group(shell_group):
         r1_shell = float(ensemble.r[ensemble.group_mask(shell_group)].min())
     else:
-        r1_shell = float(ensemble.r.min())
+        r1_shell = float(r[0])
     return DiagnosticsRecord(
         time=t,
         energy_total=e_kin - e_pot,
@@ -355,8 +345,8 @@ def diagnostics_record(
         variance=statistical_dispersion(ensemble),
         dilation_moment=dilation_moment(ensemble),
         conformal_moment=conformal_moment(ensemble, t),
-        inner_radius=float(ensemble.r.min()),
-        outer_radius=float(ensemble.r.max()),
+        inner_radius=float(r[0]),
+        outer_radius=float(r[-1]),
         inner_radius_shell=r1_shell,
         concentration=conc,
         lq_norms=norms,

@@ -127,20 +127,6 @@ class Ensemble:
         """Total mass, accumulated with numpy's pairwise summation."""
         return self._total_mass
 
-    def subset(self, mask):
-        """New ensemble restricted to the particles selected by `mask`."""
-        mask = np.asarray(mask)
-        if not np.any(mask):
-            raise DomainError("subset selects no particles")
-        return Ensemble(
-            self.time,
-            self.r[mask],
-            self.w[mask],
-            self.ell[mask],
-            self.mass[mask],
-            self.group[mask],
-        )
-
     def group_mask(self, name):
         return self.group == name
 

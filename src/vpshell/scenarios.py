@@ -56,6 +56,9 @@ class ShellSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mass", "r_inner", "r_outer", "w_min", "w_max", "ell_min", "ell_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"shell {name} must be finite")
         if self.mass <= 0.0:
             raise DomainError("shell mass must be positive")
         if not 0.0 < self.r_inner < self.r_outer:
@@ -84,6 +87,9 @@ class CoreSpec:
     profile: object = "uniform"
 
     def __post_init__(self):
+        for name in ("mass", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"core {name} must be finite")
         if self.mass <= 0.0:
             raise DomainError("core mass must be positive")
         if self.radius <= 0.0:

@@ -63,6 +63,24 @@ class TestConfigParsing:
             parse_config("scenario = kurth\nkurth.k = fast\nt_end = 1\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", "inf"),
+        ("t_end", "nan"),
+        ("kurth.k", "-inf"),
+        ("r_grid", "1.0,nan"),
+        ("q_list", "inf"),
+        ("output_cadence", "NaN"),
+    ])
+    def test_non_finite_value_reports_line(self, key, value):
+        # `t_end = inf` never finishes and NaN passes every `< 0` check
+        required = {"kurth.k": "0.5", "t_end": "1"}
+        required.pop(key, None)
+        lines = ["scenario = kurth", "# comment", f"{key} = {value}"]
+        lines += [f"{k} = {v}" for k, v in required.items()]
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config("\n".join(lines))
+        assert err.value.line == 3
+
     def test_comments_and_defaults(self):
         cfg = parse_config(KURTH_CFG)
         assert cfg.scenario == "kurth"
@@ -264,6 +282,12 @@ class TestMainExitCodes:
         path = tmp_path / "bad.cfg"
         path.write_text("scenario = shell\nnope = 1\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_finite_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.cfg"
+        path.write_text(SHELL_CFG.format(t_end="inf"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "line 4" in capsys.readouterr().err
 
     def test_numerical_error(self, monkeypatch, shell_cfg, tmp_path):
         from vpshell import errors

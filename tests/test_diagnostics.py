@@ -22,6 +22,32 @@ from vpshell import (
 from conftest import random_ensemble
 
 
+def brute_force_concentration(e, R):
+    """O(N^2) oracle for the concentration function.
+
+    The largest concentration_mass over every breakpoint |R - r_i|,
+    R + r_i and every stationary point sqrt(W / S) that falls inside
+    its own interval, with the band sums W = sum m (r - R^2 / r) and
+    S = sum m / r taken directly from the shells cut at the interval's
+    midpoint.  The limit d -> 0+ counts shells on |x| = R at half mass.
+    """
+    r, m = e.r, e.mass
+    if R > r.max():
+        return e.total_mass
+    best = float(np.sum(m[r < R]) + 0.5 * np.sum(m[r == R]))
+    breaks = np.unique(np.concatenate(([0.0], np.abs(R - r), R + r)))
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (lo + hi)
+        band = (np.abs(R - r) < mid) & (mid < R + r)
+        W = np.sum(m[band] * (r[band] - R * R / r[band]))
+        S = np.sum(m[band] / r[band])
+        if W > 0.0 and lo < math.sqrt(W / S) < hi:
+            best = max(best, concentration_mass(e, math.sqrt(W / S), R))
+    for d in breaks[1:]:
+        best = max(best, concentration_mass(e, d, R))
+    return best
+
+
 def uniform_ball(n, mass=1.0, radius=1.0, circular=False):
     """Deterministic equal-mass sampling of a constant-density ball."""
     frac = (np.arange(n) + 0.5) / n
@@ -224,8 +250,9 @@ class TestConcentration:
         # the best centre for a thin shell sits at sqrt(r^2 - R^2), not at r
         e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         expected = (1.0 - math.sqrt(3.0) / 2.0) / 2.0
-        val = concentration_function(e, 0.5)
-        assert val == pytest.approx(expected, rel=1e-9)
+        val, centre = concentration_function(e, 0.5, return_center=True)
+        assert val == pytest.approx(expected, rel=1e-14)
+        assert centre == math.sqrt(0.75)
         # dense-scan oracle
         scan = max(concentration_mass(e, d, 0.5) for d in np.linspace(0, 1.5, 20001))
         assert val >= scan - 1e-10
@@ -259,8 +286,63 @@ class TestConcentration:
                 continue
             grid = np.linspace(0.0, e.r.max() + R, 20001)
             scan = max(concentration_mass(e, d, R) for d in grid)
-            assert val >= scan - 1e-6 * e.total_mass
+            assert val >= scan - 1e-12 * e.total_mass
             assert val <= e.total_mass + 1e-12
+
+    def test_exact_against_breakpoint_oracle(self, rng):
+        for _ in range(300):
+            e = random_ensemble(rng, n_max=60)
+            R = 10.0 ** rng.uniform(-1.0, 0.7)
+            M = e.total_mass
+            val, centre = concentration_function(e, R, return_center=True)
+            assert abs(val - brute_force_concentration(e, R)) <= 1e-12 * M
+            # attained at the returned centre, and never above the total
+            assert abs(concentration_mass(e, centre, R) - val) <= 1e-12 * M
+            assert val <= M
+
+    def test_single_shell_closed_form(self):
+        # best centre sqrt(r^2 - R^2) holds (1 - sqrt(1 - R^2/r^2)) / 2
+        # of the shell; continuous up to R = r, where it is one half
+        e = Ensemble(0.0, [2.0], [0.0], [0.0], [3.0])
+        for R in (0.1, 0.5, 1.0, 1.9, 2.0):
+            val, centre = concentration_function(e, R, return_center=True)
+            expected = 3.0 * 0.5 * (1.0 - math.sqrt(1.0 - (R / 2.0) ** 2))
+            assert val == pytest.approx(expected, rel=1e-14)
+            assert centre == pytest.approx(math.sqrt(4.0 - R * R), abs=1e-15)
+        assert concentration_function(e, 2.0 + 1e-12) == 3.0
+
+    def test_radius_equal_to_ball_radius(self):
+        # the shell on |x| = R is cut in half as d -> 0+, and the ball
+        # mass 1 + (1/2 - d/4) falls off from there: the supremum is the
+        # limit at the origin, which d = 0 itself (strict r < R) misses
+        e = Ensemble(0.0, [0.5, 1.0, 3.0], [0.0] * 3, [0.0] * 3, [1.0] * 3)
+        val, centre = concentration_function(e, 1.0, return_center=True)
+        assert val == 1.5
+        assert centre == 0.0
+        assert concentration_mass(e, 1e-3, 1.0) == pytest.approx(1.5 - 0.25e-3, abs=1e-12)
+        assert val == brute_force_concentration(e, 1.0)
+
+    def test_ball_radius_equal_to_max_radius(self, rng):
+        for _ in range(50):
+            e = random_ensemble(rng, n_max=30)
+            R = float(e.r.max())
+            val = concentration_function(e, R)
+            assert val == pytest.approx(brute_force_concentration(e, R), abs=1e-12 * e.total_mass)
+            assert val < e.total_mass
+
+    def test_duplicate_radii(self, rng):
+        # coincident shells act as one shell carrying their summed mass
+        for _ in range(50):
+            base = random_ensemble(rng, n_max=20)
+            k = rng.integers(1, 4, base.n)
+            dup = Ensemble(0.0, np.repeat(base.r, k), np.repeat(base.w, k),
+                           np.repeat(base.ell, k), np.repeat(base.mass, k))
+            merged = Ensemble(0.0, base.r, base.w, base.ell, base.mass * k)
+            for R in (float(base.r[0]), 10.0 ** rng.uniform(-1.0, 0.7)):
+                val = concentration_function(dup, R)
+                M = dup.total_mass
+                assert val == pytest.approx(concentration_function(merged, R), abs=1e-12 * M)
+                assert val == pytest.approx(brute_force_concentration(dup, R), abs=1e-12 * M)
 
     def test_domain_error(self):
         e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
@@ -286,6 +368,25 @@ class TestRadialProfile:
             e = random_ensemble(rng)
             prof = build_radial_profile(e, int(rng.integers(1, 40)))
             assert prof.binned_mass() == pytest.approx(e.total_mass, rel=1e-12)
+
+    def test_matches_weighted_histogram(self, rng):
+        # bins are half-open except the last, which holds the maximum
+        # radius; 2.0 sits on an interior edge of the four bins on [0, 4]
+        edge_case = Ensemble(0.0, [0.5, 1.0, 2.0, 2.0, 3.9, 4.0], [0.0] * 6, [0.0] * 6,
+                             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        cases = [(edge_case, 4)] + [
+            (random_ensemble(rng), int(rng.integers(1, 40))) for _ in range(20)
+        ]
+        for e, n_bins in cases:
+            prof = build_radial_profile(e, n_bins)
+            edges = np.linspace(0.0, e.r.max(), n_bins + 1)
+            reference, _ = np.histogram(e.r, bins=edges, weights=e.mass)
+            volume = (4 * math.pi / 3) * (edges[1:] ** 3 - edges[:-1] ** 3)
+            np.testing.assert_array_equal(prof.bin_edges, edges)
+            np.testing.assert_allclose(prof.bin_density * volume, reference, rtol=1e-12, atol=0)
+        binned = build_radial_profile(edge_case, 4).bin_density * (
+            (4 * math.pi / 3) * (np.arange(1, 5) ** 3 - np.arange(4) ** 3))
+        np.testing.assert_allclose(binned, [0.1, 0.2, 0.7, 1.1], rtol=1e-12)
 
     def test_empty_bin_zero_density(self):
         e = Ensemble(0.0, [0.1, 10.0], [0, 0], [0, 0], [1.0, 1.0])

@@ -59,6 +59,16 @@ class TestBuildShell:
         with pytest.raises(DomainError):
             ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.5, w_min=0.3, w_max=0.1, n=10)
 
+    @pytest.mark.parametrize("field", ["mass", "r_inner", "r_outer", "w_min", "w_max",
+                                       "ell_min", "ell_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        # NaN fails no ordered comparison, so it needs its own check
+        values = dict(mass=1.0, r_inner=1.0, r_outer=1.5, w_min=0.1, w_max=0.2, n=10)
+        values[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            ShellSpec(**values)
+
 
 class TestBuildCircularCore:
     def test_energies_match_closed_forms(self):
@@ -90,6 +100,14 @@ class TestBuildCircularCore:
     def test_zero_mass_profile_rejected(self):
         with pytest.raises(DomainError):
             CoreSpec(mass=1.0, radius=1.0, n=10, profile=[[0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("field", ["mass", "radius"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        values = dict(mass=1.0, radius=1.0, n=10)
+        values[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            CoreSpec(**values)
 
 
 class TestShellPlusCore:
