@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kurth as kurth_mod
 from .classify import classify as _classify
-from .config import RunConfig, load_config
+from .config import _DEFAULTS, _SCHEMA, RunConfig, _parse_float, _validated, load_config
 from .csvio import (
     read_diagnostics,
     write_diagnostics,
@@ -35,6 +35,14 @@ from .scenarios import (
 )
 
 __all__ = ["main", "cmd_run", "cmd_kurth", "cmd_classify", "cmd_sweep"]
+
+
+def _cast(name, caster, value):
+    """`caster(value)`, with a malformed value reported as a ConfigError."""
+    try:
+        return caster(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {name!r}: {exc}") from None
 
 
 def _build_scenario(config: RunConfig, seed):
@@ -166,18 +174,22 @@ def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
 
 
 def cmd_kurth(k, t_end, cadence, q_list, out_dir, r_grid=(1.0, 2.0, 4.0)):
-    """Analytic trajectory table for one family member."""
+    """Analytic trajectory table for one family member.
+
+    Numbers may be given as floats or strings; each must be finite and
+    pass the same checks as a config file, else ConfigError.
+    """
     values = {
         "scenario": "kurth",
-        "kurth.k": float(k),
-        "t_end": float(t_end),
-        "output_cadence": float(cadence),
-        "q_list": tuple(float(q) for q in q_list),
-        "r_grid": tuple(float(r) for r in r_grid),
+        "kurth.k": _cast("k", _parse_float, k),
+        "t_end": _cast("t_end", _parse_float, t_end),
+        "output_cadence": _cast("cadence", _parse_float, cadence),
+        "q_list": tuple(_cast("q_list", _parse_float, q) for q in q_list),
+        "r_grid": tuple(_cast("r_grid", _parse_float, r) for r in r_grid),
         "seed": 0,
     }
-    config = RunConfig("kurth", values)
-    return cmd_run(config, out_dir)
+    _validated({**_DEFAULTS, **values})
+    return cmd_run(RunConfig("kurth", values), out_dir)
 
 
 def cmd_classify(csv_path, energy=None, momentum=0.0, mass=None, out_path=None):
@@ -222,10 +234,9 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
 
     Failed runs are recorded with label `failed`; the sweep continues.
     The summary preserves the input value order regardless of the
-    execution order.
+    execution order.  Values may be floats or strings; a value that is
+    not a finite number raises ConfigError before any run starts.
     """
-    from .config import _SCHEMA, _parse_float
-
     caster = _SCHEMA.get(param)
     if caster is None:
         raise ConfigError(f"unknown sweep parameter {param!r}")
@@ -235,7 +246,8 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     jobs = []
     for i, value in enumerate(values):
         run_dir = os.path.join(out_dir, f"run_{i:03d}")
-        jobs.append((dict(config.values), param, caster(value), run_dir))
+        value = _cast(param, lambda v: caster(_parse_float(v)), value)
+        jobs.append((dict(config.values), param, value, run_dir))
 
     results = [None] * len(jobs)
 
@@ -298,9 +310,9 @@ def _build_parser():
     p_run.add_argument("--threads", type=int, default=1)
 
     p_kurth = sub.add_parser("kurth", help="analytic uniform-ball trajectory table")
-    p_kurth.add_argument("--k", type=float, required=True, help="initial dilation rate")
-    p_kurth.add_argument("--t-end", type=float, required=True)
-    p_kurth.add_argument("--cadence", type=float, required=True)
+    p_kurth.add_argument("--k", required=True, help="initial dilation rate")
+    p_kurth.add_argument("--t-end", required=True)
+    p_kurth.add_argument("--cadence", required=True)
     p_kurth.add_argument("--q-list", default="1.6666666666666667",
                          help="comma separated density-norm exponents")
     p_kurth.add_argument("--r-grid", default="1.0,2.0,4.0",
@@ -334,9 +346,8 @@ def main(argv=None):
                 config = config.replace(seed=args.seed)
             cmd_run(config, args.out, threads=args.threads)
         elif args.command == "kurth":
-            q_list = tuple(float(q) for q in args.q_list.split(","))
-            r_grid = tuple(float(r) for r in args.r_grid.split(","))
-            cmd_kurth(args.k, args.t_end, args.cadence, q_list, args.out, r_grid)
+            cmd_kurth(args.k, args.t_end, args.cadence, args.q_list.split(","),
+                      args.out, args.r_grid.split(","))
         elif args.command == "classify":
             report = cmd_classify(
                 args.csv, args.energy, args.momentum, args.mass, args.out
@@ -346,7 +357,7 @@ def main(argv=None):
             config = load_config(args.config)
             if args.seed is not None:
                 config = config.replace(seed=args.seed)
-            values = [float(v) for v in args.values.split(",")] if args.values else []
+            values = args.values.split(",") if args.values else []
             cmd_sweep(config, args.param, values, args.out, threads=args.threads)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

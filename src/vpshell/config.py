@@ -152,6 +152,12 @@ def parse_config(text):
     values = dict(_DEFAULTS)
     values.update(raw)
     values["scenario"] = scenario
+    return _validated(values, lines)
+
+
+def _validated(values, lines=None):
+    """Check the value ranges; `lines` maps keys to line numbers."""
+    lines = lines or {}
 
     def bad(key, message):
         return ConfigError(f"{key}: {message}", line=lines.get(key))
@@ -170,7 +176,7 @@ def parse_config(text):
         raise bad("q_list", "exponents must be >= 1")
     if any(radius <= 0.0 for radius in values["r_grid"]):
         raise bad("r_grid", "ball radii must be positive")
-    return RunConfig(scenario, values)
+    return RunConfig(values["scenario"], values)
 
 
 def load_config(path):

@@ -6,10 +6,13 @@ Each shell obeys
 
 with M(<r) the mass strictly inside r (a shell feels no self-force).
 The integrator is kick-drift-kick leapfrog with one force evaluation
-per step; forces come from a single stable sort of the radii, so a step
-costs O(N log N).  Shell crossings inside a step are not sub-resolved;
-their effect vanishes with the step size and is covered by the energy
-drift gate in the tests.
+per step.  The force takes one stable argsort of the radii, the
+exclusive mass prefix in that order (equal radii share the prefix of
+their first member, found by a linear scan) and scatters it back
+through the order; there is no binary search, the argsort is the only
+O(N log N) part, and the particle order is never changed.  Shell
+crossings inside a step are not sub-resolved; their effect vanishes
+with the step size and is covered by the energy drift gate in the tests.
 
 Purely radial shells (ell = 0) that drift through the centre are
 reflected: r -> |r|, w -> -w.  A centre crossing with ell > 0 means the
@@ -26,7 +29,7 @@ import numpy as np
 
 from .diagnostics import diagnostics_record
 from .ensemble import Ensemble
-from .errors import DomainError, StiffnessError
+from .errors import DomainError, NumericalError, StiffnessError
 
 __all__ = [
     "IntegratorConfig",
@@ -98,8 +101,21 @@ class TrajectorySink:
 
 def _raw_acceleration(r, ell, mass):
     order = np.argsort(r, kind="stable")
-    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
-    enclosed = prefix[np.searchsorted(r[order], r, side="left")]
+    sorted_mass = mass[order]
+    # exclusive prefix in radius order: the mass of every earlier shell
+    prefix = np.empty_like(sorted_mass)
+    prefix[:1] = 0.0
+    np.cumsum(sorted_mass[:-1], out=prefix[1:])
+    r_sorted = r[order]
+    tied = r_sorted[1:] == r_sorted[:-1]
+    if tied.any():
+        # equal radii take the prefix of their group's first member
+        first = np.arange(r_sorted.size)
+        first[1:][tied] = 0
+        np.maximum.accumulate(first, out=first)
+        prefix = prefix[first]
+    enclosed = np.empty_like(prefix)
+    enclosed[order] = prefix
     return (ell * ell) / (r * r * r) - enclosed / (FOUR_PI * r * r)
 
 
@@ -211,7 +227,9 @@ def run(
     only on the state, and every reduction uses a fixed association
     order.  Record times are exact multiples of the cadence (plus
     t_end when it is not a multiple).  Snapshots are stored at the
-    requested times, which the stepper lands on exactly.
+    requested times, which the stepper lands on exactly.  A non-finite
+    step size or state raises NumericalError at the last finite time
+    rather than ending the table early.
     """
     t0 = ensemble.time
     t_end = config.t_end
@@ -234,16 +252,21 @@ def run(
         str(name): group == name for name in np.unique(group) if name != ""
     }
 
+    def state(t_now):
+        try:
+            return Ensemble(t_now, r, w, ell, mass, group)
+        except DomainError as exc:
+            raise NumericalError(f"invalid state: {exc}", time=t_now) from exc
+
     def emit_record(t_now):
-        snap = Ensemble(t_now, r, w, ell, mass, group)
         sink.records.append(
-            diagnostics_record(snap, r_grid=r_grid, q_list=q_list, n_bins=n_bins)
+            diagnostics_record(state(t_now), r_grid=r_grid, q_list=q_list, n_bins=n_bins)
         )
         sink.group_stats.append(_group_stats(r, w, ell, mass, group_masks))
         sink.events.append({"reflections": reflections, "rejections": rejections})
 
     def emit_snapshot(t_now):
-        sink.snapshots.append(Ensemble(t_now, r, w, ell, mass, group))
+        sink.snapshots.append(state(t_now))
 
     reflections = 0
     rejections = 0
@@ -263,6 +286,8 @@ def run(
         if snap_times:
             boundary = min(boundary, snap_times[0])
         dt = _raw_adaptive_dt(r, w, accel, config)
+        if not math.isfinite(dt):
+            raise NumericalError("non-finite step size", time=t)
         if first:
             dt = min(dt, config.dt_initial)
             first = False

@@ -187,6 +187,34 @@ class TestKurthCommand:
         fit = growth_exponent(TimeSeries(parsed.times, parsed.variance))
         assert fit.exponent == pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "inf"),
+        ("--t-end", "nan"),
+        ("--t-end", "inf"),
+        ("--t-end", "-1"),
+        ("--cadence", "nan"),
+        ("--cadence", "0"),
+        ("--q-list", "1.5,nan"),
+        ("--q-list", "0.5"),
+        ("--r-grid", "1.0,inf"),
+        ("--r-grid", "abc"),
+    ])
+    def test_bad_flag_exits_2(self, flag, value, tmp_path, capsys):
+        args = {"--k": "0.5", "--t-end": "2", "--cadence": "1"}
+        args[flag] = value
+        argv = ["kurth", "--out", str(tmp_path / "o")]
+        for key, text in args.items():
+            argv += [key, text]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    def test_flag_strings_match_floats(self, tmp_path):
+        main(["kurth", "--k", "0.5", "--t-end", "2", "--cadence", "0.5",
+              "--q-list", "1.5,2", "--r-grid", "1,4", "--out", str(tmp_path / "a")])
+        b = cmd_kurth(0.5, 2.0, 0.5, (1.5, 2.0), str(tmp_path / "b"), (1.0, 4.0))
+        assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == open(b, "rb").read()
+
     def test_simulator_columns_empty(self, tmp_path):
         csv = cmd_kurth(1.0, 5.0, 1.0, (5.0 / 3.0,), str(tmp_path))
         parsed = read_diagnostics(csv)
@@ -266,6 +294,17 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert all(row.split(",")[3] != "failed" for row in rows[1:])
 
+    @pytest.mark.parametrize("values", ["0.5,abc", "0.5,inf", "nan"])
+    def test_bad_values_exit_2(self, values, tmp_path, capsys):
+        path = tmp_path / "k.cfg"
+        path.write_text(KURTH_CFG)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(path), "--param", "kurth.k",
+                "--values", values, "--out", str(out)]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "run_000").exists()
+
     def test_unknown_parameter_rejected(self, tmp_path):
         cfg = parse_config(KURTH_CFG)
         with pytest.raises(ConfigError):
@@ -298,6 +337,19 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(cli, "run", boom)
         assert main(["run", "--config", shell_cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_non_finite_run_exits_3(self, monkeypatch, shell_cfg, tmp_path, capsys):
+        # a NaN force makes the step size NaN; the run must fail loudly
+        # rather than write a truncated table
+        import numpy as np
+        import vpshell.dynamics as dynamics
+
+        monkeypatch.setattr(
+            dynamics, "_raw_acceleration", lambda r, ell, mass: np.full_like(r, np.nan)
+        )
+        assert main(["run", "--config", shell_cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "non-finite step size (at t = 0)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
     def test_classify_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"

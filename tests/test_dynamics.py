@@ -7,6 +7,7 @@ from vpshell import (
     DomainError,
     Ensemble,
     IntegratorConfig,
+    NumericalError,
     ShellParticle,
     StiffnessError,
     acceleration,
@@ -20,6 +21,28 @@ FOUR_PI = 4.0 * math.pi
 
 def circular_ell(r, enclosed):
     return math.sqrt(r * enclosed / FOUR_PI)
+
+
+def searchsorted_acceleration(r, ell, mass):
+    """The earlier kernel: M(<r) by binary search in the sorted radii."""
+    order = np.argsort(r, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
+    enclosed = prefix[np.searchsorted(r[order], r, side="left")]
+    return (ell * ell) / (r * r * r) - enclosed / (FOUR_PI * r * r)
+
+
+def tied_ensembles(seed, count=200, n_max=200):
+    """Seeded ensembles; every second one copies radii onto others, so
+    tie groups of two or more equal radii occur."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        r = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        if i % 2:
+            k = int(rng.integers(1, n + 1))
+            r[rng.integers(0, n, k)] = r[rng.integers(0, n, k)]
+        ell = np.where(rng.random(n) < 0.2, 0.0, np.abs(rng.normal(0.0, 1.0, n)))
+        yield Ensemble(0.0, r, rng.normal(0.0, 1.0, n), ell, rng.uniform(0.1, 1.0, n))
 
 
 class TestAcceleration:
@@ -43,6 +66,45 @@ class TestAcceleration:
         expected = -2.0 / (FOUR_PI * 1.0)
         assert acc[0] == pytest.approx(expected)
         assert acc[1] == pytest.approx(expected)
+
+    def test_matches_brute_force_enclosed_mass(self):
+        # O(N^2) oracle: M(<r_i) is the correctly rounded sum of the
+        # masses strictly inside r_i
+        ties = 0
+        for e in tied_ensembles(5):
+            r, ell, mass = e.r, e.ell, e.mass
+            ties += r.size - np.unique(r).size
+            enclosed = np.array([math.fsum(mass[r < ri]) for ri in r])
+            centrifugal = ell * ell / (r * r * r)
+            gravity = enclosed / (FOUR_PI * r * r)
+            scale = centrifugal + gravity
+            err = np.abs(acceleration(e) - (centrifugal - gravity))
+            assert np.all(err <= 1e-14 * scale)
+        assert ties > 1000
+
+    def test_bitwise_equal_to_searchsorted_kernel(self):
+        for e in tied_ensembles(6):
+            old = searchsorted_acceleration(e.r, e.ell, e.mass)
+            assert np.array_equal(acceleration(e).view(np.int64), old.view(np.int64))
+
+    def test_permutation_equivariant(self):
+        # with distinct radii the summation order is the radius order,
+        # so permuting the particles permutes the result bitwise; within
+        # a tie group the masses are summed in input order, which moves
+        # the prefix of larger radii by roundoff only
+        rng = np.random.default_rng(7)
+        for e in tied_ensembles(8):
+            perm = rng.permutation(e.n)
+            shuffled = Ensemble(0.0, e.r[perm], e.w[perm], e.ell[perm], e.mass[perm])
+            got = acceleration(shuffled)
+            want = acceleration(e)[perm]
+            if np.unique(e.r).size == e.n:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            else:
+                scale = e.ell[perm] ** 2 / e.r[perm] ** 3 + (
+                    e.total_mass / (FOUR_PI * e.r[perm] ** 2)
+                )
+                assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 class TestStep:
@@ -175,6 +237,26 @@ class TestRun:
         sink = run(e, IntegratorConfig(t_end=5.0, output_cadence=1.0))
         masses = sink.series("mass")
         assert np.all(masses == masses[0])
+
+    def test_non_finite_step_raises_at_last_finite_time(self):
+        # r^3 underflows for the inner shell, so its acceleration is inf,
+        # the state turns non-finite and the next step size is NaN
+        e = Ensemble(0.0, [1e-120, 1.0], [0.0, 0.0], [1e-60, 0.0], [1.0, 1.0])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            run(e, IntegratorConfig(t_end=10.0, output_cadence=1.0))
+        assert math.isfinite(err.value.time)
+        assert 0.0 < err.value.time < 1.0
+
+    def test_non_finite_record_state_is_numerical_error(self):
+        # the first step lands on a record whose state is non-finite: the
+        # Ensemble check fails there and surfaces as a NumericalError,
+        # not as the DomainError of a bad argument
+        e = Ensemble(0.0, [1e-120, 1.0], [0.0, 0.0], [1e-60, 0.0], [1.0, 1.0])
+        cfg = IntegratorConfig(t_end=1e-12, output_cadence=1e-13, dt_initial=0.1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            run(e, cfg)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.time == pytest.approx(1e-13)
 
     def test_deterministic_rerun(self):
         import vpshell
