@@ -37,6 +37,15 @@ from .scenarios import (
 __all__ = ["main", "cmd_run", "cmd_kurth", "cmd_classify", "cmd_sweep"]
 
 
+def _parse_int(text):
+    """An integral finite number as an int: `100`, `1e3` and `100.0`
+    pass, `100.7` does not."""
+    value = _parse_float(text)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
+
+
 def _cast(name, caster, value):
     """`caster(value)`, with a malformed value reported as a ConfigError."""
     try:
@@ -46,54 +55,31 @@ def _cast(name, caster, value):
 
 
 def _build_scenario(config: RunConfig, seed):
+    def shell(seed):
+        return ShellSpec(
+            mass=config["shell.mass"], r_inner=config["shell.r_inner"],
+            r_outer=config["shell.r_outer"], w_min=config["shell.w_min"],
+            w_max=config["shell.w_max"], ell_min=config["shell.ell_min"],
+            ell_max=config["shell.ell_max"], n=config["shell.n"], seed=seed,
+        )
+
+    def core(seed):
+        return CoreSpec(mass=config["core.mass"], radius=config["core.radius"],
+                        n=config["core.n"], seed=seed)
+
     scenario = config.scenario
     if scenario == "shell":
-        spec = ShellSpec(
-            mass=config["shell.mass"],
-            r_inner=config["shell.r_inner"],
-            r_outer=config["shell.r_outer"],
-            w_min=config["shell.w_min"],
-            w_max=config["shell.w_max"],
-            ell_min=config["shell.ell_min"],
-            ell_max=config["shell.ell_max"],
-            n=config["shell.n"],
-            seed=seed,
-        )
-        ensemble, report = build_shell(spec)
-        report_dict = {
+        ensemble, report = build_shell(shell(seed))
+        return ensemble, {
             "escape_threshold": report.escape_threshold,
             "escape_margin_sq": report.margin_sq,
             "escape_condition_satisfied": report.satisfied,
         }
-        return ensemble, report_dict
     if scenario == "core":
-        spec = CoreSpec(
-            mass=config["core.mass"],
-            radius=config["core.radius"],
-            n=config["core.n"],
-            seed=seed,
-        )
-        return build_circular_core(spec), {}
+        return build_circular_core(core(seed)), {}
     if scenario == "shell_plus_core":
-        core_spec = CoreSpec(
-            mass=config["core.mass"],
-            radius=config["core.radius"],
-            n=config["core.n"],
-            seed=seed,
-        )
-        shell_spec = ShellSpec(
-            mass=config["shell.mass"],
-            r_inner=config["shell.r_inner"],
-            r_outer=config["shell.r_outer"],
-            w_min=config["shell.w_min"],
-            w_max=config["shell.w_max"],
-            ell_min=config["shell.ell_min"],
-            ell_max=config["shell.ell_max"],
-            n=config["shell.n"],
-            seed=seed + 1,
-        )
-        ensemble, report = build_shell_plus_core(core_spec, shell_spec)
-        report_dict = {
+        ensemble, report = build_shell_plus_core(core(seed), shell(seed + 1))
+        return ensemble, {
             "escape_threshold": report.escape_threshold,
             "total_energy": report.total_energy,
             "core_energy": report.core_energy,
@@ -102,7 +88,6 @@ def _build_scenario(config: RunConfig, seed):
             "double_inequality_ok": report.double_inequality_ok,
             "escape_condition_satisfied": report.escape_satisfied,
         }
-        return ensemble, report_dict
     raise ConfigError(f"scenario {scenario!r} is not a simulator scenario")
 
 
@@ -218,10 +203,9 @@ def _sweep_one(args):
     config = RunConfig(values["scenario"], values)
     csv_path = cmd_run(config, run_dir)
     report = cmd_classify(csv_path, out_path=os.path.join(run_dir, "report.json"))
-    parsed = read_diagnostics(csv_path)
     return {
         "value": value,
-        "E": float(parsed.energy[0]),
+        "E": report.threshold.energy,
         "Q2_over_2M": report.threshold.q_sq_over_2m,
         "label": report.label,
         "exponent": None if report.growth is None else report.growth.exponent,
@@ -234,20 +218,22 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
 
     Failed runs are recorded with label `failed`; the sweep continues.
     The summary preserves the input value order regardless of the
-    execution order.  Values may be floats or strings; a value that is
-    not a finite number raises ConfigError before any run starts.
+    execution order.  Values may be numbers or strings; a value that is
+    not a finite number, or not integral for an integer parameter,
+    raises ConfigError before any run starts.
     """
     caster = _SCHEMA.get(param)
     if caster is None:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if caster not in (int, _parse_float):
         raise ConfigError(f"sweep parameter {param!r} is not scalar")
-    os.makedirs(out_dir, exist_ok=True)
+    parse = _parse_int if caster is int else _parse_float
     jobs = []
     for i, value in enumerate(values):
         run_dir = os.path.join(out_dir, f"run_{i:03d}")
-        value = _cast(param, lambda v: caster(_parse_float(v)), value)
+        value = _cast(param, parse, value)
         jobs.append((dict(config.values), param, value, run_dir))
+    os.makedirs(out_dir, exist_ok=True)
 
     results = [None] * len(jobs)
 
@@ -307,7 +293,8 @@ def _build_parser():
     p_run.add_argument("--config", required=True, help="path to a key = value file")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="ignored: a single run is sequential (sweep uses it)")
 
     p_kurth = sub.add_parser("kurth", help="analytic uniform-ball trajectory table")
     p_kurth.add_argument("--k", required=True, help="initial dilation rate")

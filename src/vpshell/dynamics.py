@@ -63,14 +63,14 @@ class IntegratorConfig:
     reflection_enabled: bool = True
 
     def __post_init__(self):
-        if self.dt_initial <= 0.0:
-            raise DomainError("dt_initial must be positive")
+        if not 0.0 < self.dt_initial < math.inf:
+            raise DomainError("dt_initial must be positive and finite")
         if not 0.0 < self.dt_safety <= 1.0:
             raise DomainError("dt_safety must be in (0, 1]")
-        if self.output_cadence <= 0.0:
-            raise DomainError("output_cadence must be positive")
-        if self.t_end < 0.0:
-            raise DomainError("t_end must be >= 0")
+        if not 0.0 < self.output_cadence < math.inf:
+            raise DomainError("output_cadence must be positive and finite")
+        if not 0.0 <= self.t_end < math.inf:
+            raise DomainError("t_end must be >= 0 and finite")
 
     @property
     def dt_min(self):
@@ -163,39 +163,59 @@ def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
     return r_new, w_new, accel_new, n_reflect
 
 
+def _accepted_step(r, w, ell, mass, accel, dt, reflection_enabled, dt_min, t):
+    """Attempt a step of dt, halving it until an attempt is accepted.
+
+    Returns (r, w, accel, n_reflections, dt_taken, n_rejections).  A
+    half below `dt_min` raises StiffnessError at time t.
+    """
+    rejections = 0
+    while True:
+        result = _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled)
+        if result is not None:
+            return (*result, dt, rejections)
+        rejections += 1
+        dt *= 0.5
+        if dt < dt_min:
+            raise StiffnessError(
+                "step size underflow while resolving a centre crossing",
+                time=t,
+            )
+
+
+def _state(t, r, w, ell, mass, group):
+    """The Ensemble at time t.  An invalid state (a non-finite value, a
+    radius at 0) raises NumericalError at t, not the DomainError of a
+    bad argument."""
+    try:
+        return Ensemble(t, r, w, ell, mass, group)
+    except DomainError as exc:
+        raise NumericalError(f"invalid state: {exc}", time=t) from exc
+
+
 def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     """Advance the ensemble by exactly dt, subdividing on rejection.
 
-    A rejected sub-step is retried at half the size; halves below
-    `dt_min` (default 1e-12 * dt) raise StiffnessError.
+    A rejected sub-step is retried at half the size, and later sub-steps
+    keep the smaller size; halves below `dt_min` (default 1e-12 * dt)
+    raise StiffnessError, a non-finite result raises NumericalError.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise DomainError("dt must be positive and finite")
     if dt_min is None:
         dt_min = 1.0e-12 * dt
-    r = ensemble.r.copy()
-    w = ensemble.w.copy()
-    ell = ensemble.ell
-    mass = ensemble.mass
+    r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     accel = _raw_acceleration(r, ell, mass)
     t = ensemble.time
     remaining = dt
     h = dt
     while remaining > 0.0:
-        h = min(h, remaining)
-        result = _attempt_step(r, w, ell, mass, accel, h, reflection_enabled)
-        if result is None:
-            h *= 0.5
-            if h < dt_min:
-                raise StiffnessError(
-                    "step size underflow while resolving a centre crossing",
-                    time=t,
-                )
-            continue
-        r, w, accel, _ = result
+        r, w, accel, _, h, _ = _accepted_step(
+            r, w, ell, mass, accel, min(h, remaining), reflection_enabled, dt_min, t
+        )
         t += h
         remaining -= h
-    return Ensemble(ensemble.time + dt, r, w, ell, mass, ensemble.group)
+    return _state(ensemble.time + dt, r, w, ell, mass, ensemble.group)
 
 
 def _group_stats(r, w, ell, mass, group_masks):
@@ -236,10 +256,7 @@ def run(
     if t_end < t0:
         raise DomainError("t_end precedes the ensemble time")
 
-    r = ensemble.r.copy()
-    w = ensemble.w.copy()
-    ell = ensemble.ell
-    mass = ensemble.mass
+    r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
 
     sink = TrajectorySink()
@@ -252,21 +269,16 @@ def run(
         str(name): group == name for name in np.unique(group) if name != ""
     }
 
-    def state(t_now):
-        try:
-            return Ensemble(t_now, r, w, ell, mass, group)
-        except DomainError as exc:
-            raise NumericalError(f"invalid state: {exc}", time=t_now) from exc
-
     def emit_record(t_now):
+        state = _state(t_now, r, w, ell, mass, group)
         sink.records.append(
-            diagnostics_record(state(t_now), r_grid=r_grid, q_list=q_list, n_bins=n_bins)
+            diagnostics_record(state, r_grid=r_grid, q_list=q_list, n_bins=n_bins)
         )
         sink.group_stats.append(_group_stats(r, w, ell, mass, group_masks))
         sink.events.append({"reflections": reflections, "rejections": rejections})
 
     def emit_snapshot(t_now):
-        sink.snapshots.append(state(t_now))
+        sink.snapshots.append(_state(t_now, r, w, ell, mass, group))
 
     reflections = 0
     rejections = 0
@@ -291,20 +303,12 @@ def run(
         if first:
             dt = min(dt, config.dt_initial)
             first = False
-        dt = min(dt, boundary - t)
-        while True:
-            result = _attempt_step(r, w, ell, mass, accel, dt, config.reflection_enabled)
-            if result is not None:
-                break
-            rejections += 1
-            dt *= 0.5
-            if dt < config.dt_min:
-                raise StiffnessError(
-                    "step size underflow while resolving a centre crossing",
-                    time=t,
-                )
-        r, w, accel, n_reflect = result
+        r, w, accel, n_reflect, dt, n_reject = _accepted_step(
+            r, w, ell, mass, accel, min(dt, boundary - t),
+            config.reflection_enabled, config.dt_min, t,
+        )
         reflections += n_reflect
+        rejections += n_reject
         t += dt
         if snap_times and t >= snap_times[0] - time_tol:
             t = snap_times[0]

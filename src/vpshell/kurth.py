@@ -25,7 +25,8 @@ safeguarded Newton iteration converges unconditionally.
 |k| < 1 (elliptic):
     phi = A - B cos(theta),  A = 1/(1-k^2),  B = |k|/(1-k^2),
     A theta - B sin(theta) = sqrt(1-k^2) * (t - t_peri),
-    period T = 2 pi A / sqrt(1-k^2) = 2 pi (1-k^2)**-1.5.
+    period T = 2 pi A / sqrt(1-k^2) = 2 pi (1-k^2)**-1.5, exactly
+    (`kurth_period` returns this closed form).
 |k| = 1 (parabolic):
     phi = (1 + v^2)/2,  v + v^3/3 = 2 t + (4/3) k,
     so phi grows like t**(2/3).
@@ -221,16 +222,15 @@ def _solve_monotone(f, fprime, lo, hi, x0, tol=1.0e-12, max_iter=120):
     return x
 
 
-def phi_parabolic(t, k=1.0):
-    """Closed-form phi for |k| = 1 via the cubic for v(t).
+def _scalar_or_array(t, values):
+    """`values` as a float for a scalar time t, else as an array."""
+    return float(values[0]) if np.ndim(t) == 0 else values
 
-    Solves v + v^3/3 = 2 t + (4/3) k and returns (1 + v^2)/2.  The
-    left side is strictly increasing, so the root is unique; for large
-    t the cubic term dominates and phi ~ O(t^(2/3)).
-    """
+
+def _parabolic_state(t, k):
     if abs(k) != 1.0:
         raise DomainError("parabolic branch requires |k| = 1")
-    t_arr = np.asarray(t, dtype=np.float64)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     s = 2.0 * t_arr + (4.0 / 3.0) * k
     bound = np.cbrt(3.0 * np.abs(s)) + 2.0
     v = _solve_monotone(
@@ -241,32 +241,28 @@ def phi_parabolic(t, k=1.0):
         np.cbrt(3.0 * s),
     )
     phi = 0.5 * (1.0 + v * v)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(phi)
-    return phi
-
-
-def _parabolic_state(t, k):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    phi = np.atleast_1d(phi_parabolic(t_arr, k))
-    # phi' = v / phi; v carries the sign of the cubic's right side
+    # phi' = v / phi with |v| = sqrt(2 phi - 1) from the returned phi;
+    # v carries the sign of the cubic's right side
     v = np.sqrt(np.maximum(2.0 * phi - 1.0, 0.0))
-    v = np.where(2.0 * t_arr + (4.0 / 3.0) * k >= 0.0, v, -v)
+    v = np.where(s >= 0.0, v, -v)
     return phi, v / phi
 
 
-def phi_hyperbolic(t, k):
-    """Closed-form phi for |k| > 1 via the sinh relation for v(t).
+def phi_parabolic(t, k=1.0):
+    """Closed-form phi for |k| = 1 via the cubic for v(t).
 
-    Solves a sinh v - v = (a^2 - 1)**1.5 (t - t0) with a = |k|;
-    v(0) = sign(k) arccosh(a) and t0 follow from phi(0) = 1.  phi is
-    (a cosh v - 1)/(a^2 - 1); asymptotically |v| ~ O(log t) and
-    phi ~ O(t).
+    Solves v + v^3/3 = 2 t + (4/3) k and returns (1 + v^2)/2.  The
+    left side is strictly increasing, so the root is unique; for large
+    t the cubic term dominates and phi ~ O(t^(2/3)).
     """
+    return _scalar_or_array(t, _parabolic_state(t, k)[0])
+
+
+def _hyperbolic_state(t, k):
     a = abs(float(k))
     if a <= 1.0:
         raise DomainError("hyperbolic branch requires |k| > 1")
-    t_arr = np.asarray(t, dtype=np.float64)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     rate = (a * a - 1.0) ** 1.5
     v0 = math.copysign(math.acosh(a), k)
     t0 = -(a * math.sinh(v0) - v0) / rate
@@ -285,20 +281,7 @@ def phi_hyperbolic(t, k):
     span = np.abs(v) + 2.0
     v = _solve_monotone(g, gp, -span, span, v)
     phi = (a * np.cosh(v) - 1.0) / (a * a - 1.0)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(phi)
-    return phi
-
-
-def _hyperbolic_state(t, k):
-    a = abs(float(k))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    phi = np.atleast_1d(phi_hyperbolic(t_arr, k))
     cosh_v = ((a * a - 1.0) * phi + 1.0) / a
-    rate = (a * a - 1.0) ** 1.5
-    v0 = math.copysign(math.acosh(a), k)
-    t0 = -(a * math.sinh(v0) - v0) / rate
-    s = rate * (t_arr - t0)
     sinh_v = np.sqrt(np.maximum(cosh_v * cosh_v - 1.0, 0.0))
     # sign of v from the monotone relation a sinh v - v = s.
     sinh_v = np.where(s >= 0.0, sinh_v, -sinh_v)
@@ -306,41 +289,21 @@ def _hyperbolic_state(t, k):
     return phi, phi_dot
 
 
-def phi_elliptic(t, k):
-    """Closed-form phi for 0 < |k| < 1 via the Kepler-type relation.
+def phi_hyperbolic(t, k):
+    """Closed-form phi for |k| > 1 via the sinh relation for v(t).
 
-    phi = A - B cos(theta) with A theta - B sin(theta) advancing
-    linearly in time; the left side has slope A - B cos(theta) >=
-    phi_min > 0, so Newton with the exact bracket
-    [(tau - B)/A, (tau + B)/A] is safe.
+    Solves a sinh v - v = (a^2 - 1)**1.5 (t - t0) with a = |k|;
+    v(0) = sign(k) arccosh(a) and t0 follow from phi(0) = 1.  phi is
+    (a cosh v - 1)/(a^2 - 1); asymptotically |v| ~ O(log t) and
+    phi ~ O(t).
     """
-    kk = float(k)
-    if not 0.0 < abs(kk) < 1.0:
-        raise DomainError("elliptic branch requires 0 < |k| < 1")
-    one_m = 1.0 - kk * kk
-    A = 1.0 / one_m
-    B = abs(kk) / one_m
-    C = math.sqrt(one_m)
-    theta0 = math.copysign(math.acos(abs(kk)), kk)
-    tau0 = A * theta0 - B * math.sin(theta0)
-    t_arr = np.asarray(t, dtype=np.float64)
-    tau = tau0 + C * t_arr
-
-    theta = _solve_monotone(
-        lambda th: A * th - B * np.sin(th) - tau,
-        lambda th: A - B * np.cos(th),
-        (tau - B) / A,
-        (tau + B) / A,
-        tau / A,
-    )
-    phi = A - B * np.cos(theta)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(phi)
-    return phi
+    return _scalar_or_array(t, _hyperbolic_state(t, k)[0])
 
 
 def _elliptic_state(t, k):
     kk = float(k)
+    if not 0.0 < abs(kk) < 1.0:
+        raise DomainError("elliptic branch requires 0 < |k| < 1")
     one_m = 1.0 - kk * kk
     A = 1.0 / one_m
     B = abs(kk) / one_m
@@ -361,6 +324,17 @@ def _elliptic_state(t, k):
     return phi, phi_dot
 
 
+def phi_elliptic(t, k):
+    """Closed-form phi for 0 < |k| < 1 via the Kepler-type relation.
+
+    phi = A - B cos(theta) with A theta - B sin(theta) advancing
+    linearly in time; the left side has slope A - B cos(theta) >=
+    phi_min > 0, so Newton with the exact bracket
+    [(tau - B)/A, (tau + B)/A] is safe.
+    """
+    return _scalar_or_array(t, _elliptic_state(t, k)[0])
+
+
 def phi_closed_form(t, k):
     """(phi, phi') arrays at times t for any k, by branch dispatch."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -374,26 +348,17 @@ def phi_closed_form(t, k):
 
 
 def kurth_period(k):
-    """Oscillation period for 0 < |k| < 1 by first-integral quadrature.
+    """Oscillation period 2 pi (1 - k^2)^(-3/2) for 0 < |k| < 1.
 
     T = 2 integral dphi / sqrt((5/3) I - phi^-2 + 2/phi) between the
     turning points phi_min = 1/(1+|k|) and phi_max = 1/(1-|k|).  The
-    substitution phi = A - B cos(theta) removes the square-root
-    endpoint singularities, leaving a smooth integrand evaluated by
-    Gauss-Legendre quadrature to relative accuracy well below 1e-8.
+    substitution phi = A - B cos(theta), A = (phi_min + phi_max)/2,
+    B = (phi_max - phi_min)/2, turns it into (2/sqrt(1-k^2)) times the
+    integral of A - B cos(theta) over [0, pi], which is exactly A pi.
     """
     if not 0.0 < abs(k) < 1.0:
         raise DomainError("period is defined for 0 < |k| < 1")
-    one_m = 1.0 - k * k
-    phi_min = 1.0 / (1.0 + abs(k))
-    phi_max = 1.0 / (1.0 - abs(k))
-    A = 0.5 * (phi_min + phi_max)
-    B = 0.5 * (phi_max - phi_min)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    w = 0.5 * math.pi * weights
-    integrand = A - B * np.cos(theta)
-    return float(2.0 / math.sqrt(one_m) * np.sum(w * integrand))
+    return 2.0 * math.pi * (1.0 - k * k) ** -1.5
 
 
 def kurth_variance(phi):

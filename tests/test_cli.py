@@ -294,16 +294,33 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert all(row.split(",")[3] != "failed" for row in rows[1:])
 
-    @pytest.mark.parametrize("values", ["0.5,abc", "0.5,inf", "nan"])
-    def test_bad_values_exit_2(self, values, tmp_path, capsys):
-        path = tmp_path / "k.cfg"
-        path.write_text(KURTH_CFG)
+    def test_integer_parameter_strings(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text(SHELL_CFG.format(t_end=0.5))
         out = tmp_path / "sweep"
-        argv = ["sweep", "--config", str(path), "--param", "kurth.k",
+        summary = cmd_sweep(load_config(str(path)), "shell.n", ["100", "2e2", "100.0"],
+                            str(out))
+        rows = [row.split(",") for row in open(summary).read().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["100.0", "200.0", "100.0"]
+        assert all(row[3] != "failed" for row in rows)
+        manifest = json.loads((out / "run_001" / "manifest.json").read_text())
+        assert manifest["config"]["shell.n"] == 200
+
+    @pytest.mark.parametrize(("param", "values"), [
+        pytest.param("kurth.k", "0.5,abc", id="0.5,abc"),
+        pytest.param("kurth.k", "0.5,inf", id="0.5,inf"),
+        pytest.param("kurth.k", "nan", id="nan"),
+        pytest.param("shell.n", "100,100.7", id="shell.n-100,100.7"),
+    ])
+    def test_bad_values_exit_2(self, param, values, tmp_path, capsys):
+        path = tmp_path / "k.cfg"
+        path.write_text(SHELL_CFG.format(t_end=1.0) if param == "shell.n" else KURTH_CFG)
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(path), "--param", param,
                 "--values", values, "--out", str(out)]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
-        assert not (out / "run_000").exists()
+        assert not out.exists()
 
     def test_unknown_parameter_rejected(self, tmp_path):
         cfg = parse_config(KURTH_CFG)

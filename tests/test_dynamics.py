@@ -173,6 +173,31 @@ class TestStep:
         with pytest.raises(DomainError):
             step(e, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt(self, dt):
+        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        with pytest.raises(DomainError):
+            step(e, dt)
+
+    def test_non_finite_state_is_numerical_error(self):
+        # the run() repro: r^3 underflows for the inner shell, so the
+        # state after the step is non-finite; that is a failure of the
+        # integration, not the DomainError of a bad argument
+        e = Ensemble(0.0, [1e-120, 1.0], [0.0, 0.0], [1e-60, 0.0], [1.0, 1.0])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            step(e, 1.0)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.time == 1.0
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("name", ["t_end", "output_cadence", "dt_initial", "dt_safety"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        fields = {"t_end": 1.0, "output_cadence": 0.5, name: value}
+        with pytest.raises(DomainError):
+            IntegratorConfig(**fields)
+
 
 class TestAdaptiveDt:
     def test_at_rest_clamps_to_cadence(self):

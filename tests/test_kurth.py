@@ -194,6 +194,36 @@ class TestElliptic:
         assert np.allclose(phi_dot, 0.5, atol=1e-10)
 
 
+BRANCHES = [
+    pytest.param(phi_elliptic, 0.5, id="elliptic-0.5"),
+    pytest.param(phi_elliptic, -0.9, id="elliptic--0.9"),
+    pytest.param(phi_parabolic, 1.0, id="parabolic-1"),
+    pytest.param(phi_parabolic, -1.0, id="parabolic--1"),
+    pytest.param(phi_hyperbolic, 1.5, id="hyperbolic-1.5"),
+    pytest.param(phi_hyperbolic, -3.0, id="hyperbolic--3"),
+]
+
+
+class TestBranchFunctions:
+    @pytest.mark.parametrize(("phi_branch", "k"), BRANCHES)
+    def test_array_equals_closed_form_bitwise(self, phi_branch, k):
+        t = np.arange(401) * 0.5
+        assert np.array_equal(phi_branch(t, k), phi_closed_form(t, k)[0])
+
+    @pytest.mark.parametrize(("phi_branch", "k"), BRANCHES)
+    def test_scalar_time_gives_float(self, phi_branch, k):
+        for t in (0.0, 3, np.float64(7.25), np.array(7.25)):
+            value = phi_branch(t, k)
+            assert type(value) is float
+            assert value == phi_closed_form(t, k)[0][0]
+
+    def test_branch_domain_errors(self):
+        for phi_branch, k in ((phi_elliptic, 1.0), (phi_elliptic, 0.0),
+                              (phi_parabolic, 0.5), (phi_hyperbolic, -1.0)):
+            with pytest.raises(DomainError):
+                phi_branch(1.0, k)
+
+
 class TestClosedFormAgainstOde:
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0])
     def test_agreement(self, k):
@@ -207,7 +237,7 @@ class TestPeriod:
         # the turning-point substitution gives T = 2 pi (1-k^2)^(-3/2)
         for k in (0.1, 0.5, 0.9, -0.6):
             expected = 2 * math.pi * (1 - k * k) ** -1.5
-            assert kurth_period(k) == pytest.approx(expected, rel=1e-10)
+            assert kurth_period(k) == pytest.approx(expected, rel=1e-15)
 
     def test_small_oscillation_limit(self):
         assert kurth_period(1e-4) == pytest.approx(2 * math.pi, rel=1e-6)
