@@ -19,6 +19,7 @@ from . import kurth as kurth_mod
 from .classify import classify as _classify
 from .config import _DEFAULTS, _SCHEMA, RunConfig, _parse_float, _validated, load_config
 from .csvio import (
+    _fmt,
     read_diagnostics,
     write_diagnostics,
     write_manifest,
@@ -97,11 +98,7 @@ def _kurth_records(k, t_end, cadence, q_list, r_grid):
     if times[-1] < t_end - 1.0e-9 * cadence:
         times = np.append(times, t_end)
     phi, phi_dot = kurth_mod.phi_closed_form(times, k)
-    records = []
-    for i, t in enumerate(times):
-        state = kurth_mod.KurthState(float(t), float(phi[i]), float(phi_dot[i]))
-        records.append(kurth_mod.kurth_diagnostics(state, q_list=q_list, r_grid=r_grid))
-    return records
+    return kurth_mod._records(times, phi, phi_dot, q_list, r_grid)
 
 
 def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
@@ -236,45 +233,29 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     os.makedirs(out_dir, exist_ok=True)
 
     results = [None] * len(jobs)
-
-    def record(i, outcome):
-        results[i] = outcome
-
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             futures = {pool.submit(_sweep_one, job): i for i, job in enumerate(jobs)}
             for future in concurrent.futures.as_completed(futures):
                 i = futures[future]
                 try:
-                    record(i, future.result())
+                    results[i] = future.result()
                 except Exception:
-                    record(i, {"value": jobs[i][2], "label": "failed"})
+                    results[i] = {"value": jobs[i][2], "label": "failed"}
     else:
         for i, job in enumerate(jobs):
             try:
-                record(i, _sweep_one(job))
+                results[i] = _sweep_one(job)
             except Exception:
-                record(i, {"value": job[2], "label": "failed"})
+                results[i] = {"value": job[2], "label": "failed"}
 
-    def fmt(value):
-        if value is None:
-            return ""
-        return repr(float(value))
-
-    lines = ["value,E,Q2_over_2M,label,exponent,M_infinity"]
+    columns = ("value", "E", "Q2_over_2M", "label", "exponent", "M_infinity")
+    lines = [",".join(columns)]
     for outcome in results:
-        lines.append(
-            ",".join(
-                (
-                    fmt(outcome.get("value")),
-                    fmt(outcome.get("E")),
-                    fmt(outcome.get("Q2_over_2M")),
-                    outcome.get("label", "failed"),
-                    fmt(outcome.get("exponent")),
-                    fmt(outcome.get("M_infinity")),
-                )
-            )
-        )
+        lines.append(",".join(
+            outcome["label"] if key == "label" else _fmt(outcome.get(key))
+            for key in columns
+        ))
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -14,8 +14,10 @@ lines end with LF, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import platform
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,19 +33,34 @@ __all__ = [
     "write_manifest",
 ]
 
-FIXED_COLUMNS = (
-    "t", "E", "E_kin", "E_pot", "M", "var_x", "dilation", "conformal",
-    "R1", "R2", "R1_shell",
+# Each fixed column: its name, the DiagnosticsRecord attribute it is
+# written from, the ParsedRun field it is read into, and whether every
+# row must carry a value on read.
+_SCHEMA = (
+    ("t", "time", "times", True),
+    ("E", "energy_total", "energy", True),
+    ("E_kin", "energy_kinetic", "energy_kinetic", False),
+    ("E_pot", "energy_potential", "energy_potential", False),
+    ("M", "mass", "mass", True),
+    ("var_x", "variance", "variance", True),
+    ("dilation", "dilation_moment", "dilation", False),
+    ("conformal", "conformal_moment", "conformal", False),
+    ("R1", "inner_radius", "inner_radius", True),
+    ("R2", "outer_radius", "outer_radius", True),
+    ("R1_shell", "inner_radius_shell", "inner_radius_shell", True),
 )
+
+FIXED_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
+
+_fixed_cells = attrgetter(*(attr for _, attr, _, _ in _SCHEMA))
 
 
 def _fmt(value):
+    """Shortest round-trip decimal of a number; "" for None or non-finite."""
     if value is None:
         return ""
     value = float(value)
-    if not np.isfinite(value):
-        return ""
-    return repr(value)
+    return repr(value) if math.isfinite(value) else ""
 
 
 def diagnostics_header(r_grid, q_list):
@@ -61,19 +78,7 @@ def write_diagnostics(path, records, r_grid, q_list):
     for rec in records:
         conc = dict(rec.concentration)
         lq = dict(rec.lq_norms)
-        row = [
-            _fmt(rec.time),
-            _fmt(rec.energy_total),
-            _fmt(rec.energy_kinetic),
-            _fmt(rec.energy_potential),
-            _fmt(rec.mass),
-            _fmt(rec.variance),
-            _fmt(rec.dilation_moment),
-            _fmt(rec.conformal_moment),
-            _fmt(rec.inner_radius),
-            _fmt(rec.outer_radius),
-            _fmt(rec.inner_radius_shell),
-        ]
+        row = list(map(_fmt, _fixed_cells(rec)))
         row += [_fmt(conc[radius]) for radius in r_grid]
         row += [_fmt(lq[q]) for q in q_list]
         lines.append(",".join(row))
@@ -98,13 +103,6 @@ class ParsedRun:
     inner_radius_shell: np.ndarray
     conc: dict  # radius -> array
     lq: dict  # q -> array
-
-
-def _column(rows, index):
-    values = [row[index] for row in rows]
-    if any(v is None for v in values):
-        return None
-    return np.array(values, dtype=np.float64)
 
 
 def read_diagnostics(path):
@@ -151,36 +149,23 @@ def read_diagnostics(path):
     if not rows:
         raise ClassifyInputError("no data rows", row=2)
 
-    def required(index, name):
-        column = _column(rows, index)
-        if column is None:
+    def column(index, name, needed=True):
+        values = [row[index] for row in rows]
+        if None not in values:
+            return np.array(values, dtype=np.float64)
+        if needed:
             raise ClassifyInputError(f"column {name} has missing values", row=2)
-        return column
+        return None
 
     n_fixed = len(FIXED_COLUMNS)
-    conc = {
-        radius: required(n_fixed + i, f"conc_R{radius}")
-        for i, radius in enumerate(conc_radii)
+    conc = {R: column(n_fixed + i, f"conc_R{R}") for i, R in enumerate(conc_radii)}
+    n_conc = n_fixed + len(conc_radii)
+    lq = {q: column(n_conc + i, f"lq_{q}") for i, q in enumerate(lq_exponents)}
+    fixed = {
+        field: column(i, name, needed)
+        for i, (name, _, field, needed) in enumerate(_SCHEMA)
     }
-    lq = {
-        q: required(n_fixed + len(conc_radii) + i, f"lq_{q}")
-        for i, q in enumerate(lq_exponents)
-    }
-    return ParsedRun(
-        times=required(0, "t"),
-        energy=required(1, "E"),
-        energy_kinetic=_column(rows, 2),
-        energy_potential=_column(rows, 3),
-        mass=required(4, "M"),
-        variance=required(5, "var_x"),
-        dilation=_column(rows, 6),
-        conformal=_column(rows, 7),
-        inner_radius=required(8, "R1"),
-        outer_radius=required(9, "R2"),
-        inner_radius_shell=required(10, "R1_shell"),
-        conc=conc,
-        lq=lq,
-    )
+    return ParsedRun(**fixed, conc=conc, lq=lq)
 
 
 def write_snapshot(path, ensemble):

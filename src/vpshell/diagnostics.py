@@ -332,10 +332,8 @@ def diagnostics_record(
         norms = tuple((float(q), lq_norm(profile, q)) for q in q_list)
     else:
         norms = ()
-    if ensemble.has_group(shell_group):
-        r1_shell = float(ensemble.r[ensemble.group_mask(shell_group)].min())
-    else:
-        r1_shell = float(r[0])
+    shell = ensemble.group == shell_group
+    r1_shell = float(ensemble.r[shell].min()) if shell.any() else float(r[0])
     return DiagnosticsRecord(
         time=t,
         energy_total=e_kin - e_pot,

@@ -199,11 +199,13 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     A rejected sub-step is retried at half the size, and later sub-steps
     keep the smaller size; halves below `dt_min` (default 1e-12 * dt)
     raise StiffnessError, a non-finite result raises NumericalError.
+    `dt` and `dt_min` must be positive and finite: at dt_min = 0 the
+    halving would reach a zero-length step and never finish.
     """
-    if not 0.0 < dt < math.inf:
-        raise DomainError("dt must be positive and finite")
     if dt_min is None:
         dt_min = 1.0e-12 * dt
+    if not (0.0 < dt < math.inf and 0.0 < dt_min < math.inf):
+        raise DomainError("dt and dt_min must be positive and finite")
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     accel = _raw_acceleration(r, ell, mass)
     t = ensemble.time

@@ -68,8 +68,9 @@ class Ensemble:
         Per-particle radius, radial momentum, angular momentum
         magnitude and mass weight.  All four must share one length.
     group : array_like of str, optional
-        Opaque subpopulation labels (e.g. "shell", "core") used by
-        scenario-aware diagnostics.  Defaults to "" for every particle.
+        Opaque subpopulation labels of any length (e.g. "shell",
+        "core") used by scenario-aware diagnostics.  Defaults to "" for
+        every particle.
     """
 
     __slots__ = ("time", "r", "w", "ell", "mass", "group", "_total_mass")
@@ -84,9 +85,9 @@ class Ensemble:
         self.ell = _as_readonly(ell, "ell", n)
         self.mass = _as_readonly(mass, "mass", n)
         if group is None:
-            grp = np.full(n, "", dtype="U16")
+            grp = np.full(n, "")
         else:
-            grp = np.array(group, dtype="U16", copy=True).reshape(-1)
+            grp = np.array(group, dtype=str).reshape(-1)
             if grp.size != n:
                 raise DomainError(f"group must have length {n}, got {grp.size}")
         grp.setflags(write=False)
@@ -126,12 +127,6 @@ class Ensemble:
     def total_mass(self):
         """Total mass, accumulated with numpy's pairwise summation."""
         return self._total_mass
-
-    def group_mask(self, name):
-        return self.group == name
-
-    def has_group(self, name):
-        return bool(np.any(self.group == name))
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,38 @@ def potential_scaled(state: KurthState):
     return 1.2 / state.phi
 
 
+def _records(t, phi, phi_dot, q_list, r_grid):
+    """DiagnosticsRecords of the family at times t from arrays of phi
+    and phi'.  Each quantity is evaluated once over the arrays."""
+    radii = [float(R) for R in r_grid]
+    exponents = [float(q) for q in q_list]
+    n = phi.size
+    conc = np.reshape([kurth_concentration(phi, R) for R in radii], (len(radii), n))
+    norms = np.reshape([kurth_lq_norm(phi, q) for q in exponents], (len(exponents), n))
+    rows = zip(
+        t.tolist(), phi.tolist(), first_integral(phi, phi_dot).tolist(),
+        kurth_variance(phi).tolist(), conc.T.tolist(), norms.T.tolist(),
+    )
+    return [
+        DiagnosticsRecord(
+            time=time,
+            energy_total=energy,
+            energy_kinetic=None,
+            energy_potential=None,
+            mass=1.0,
+            variance=variance,
+            dilation_moment=None,
+            conformal_moment=None,
+            inner_radius=0.0,
+            outer_radius=radius,
+            inner_radius_shell=0.0,
+            concentration=tuple(zip(radii, masses)),
+            lq_norms=tuple(zip(exponents, lq)),
+        )
+        for time, radius, energy, variance, masses, lq in rows
+    ]
+
+
 def kurth_diagnostics(state: KurthState, q_list=(), r_grid=()):
     """Analytic DiagnosticsRecord for one state of the family.
 
@@ -417,22 +449,5 @@ def kurth_diagnostics(state: KurthState, q_list=(), r_grid=()):
     empty: its absolute normalisation is not that of the simulator (see
     the module docstring), so only scale-free quantities are reported.
     """
-    phi = state.phi
-    energy = float(first_integral(phi, state.phi_dot))
-    return DiagnosticsRecord(
-        time=state.t,
-        energy_total=energy,
-        energy_kinetic=None,
-        energy_potential=None,
-        mass=1.0,
-        variance=float(kurth_variance(phi)),
-        dilation_moment=None,
-        conformal_moment=None,
-        inner_radius=0.0,
-        outer_radius=float(phi),
-        inner_radius_shell=0.0,
-        concentration=tuple(
-            (float(R), float(kurth_concentration(phi, R))) for R in r_grid
-        ),
-        lq_norms=tuple((float(q), float(kurth_lq_norm(phi, q))) for q in q_list),
-    )
+    t, phi, phi_dot = np.array([[state.t], [state.phi], [state.phi_dot]], float)
+    return _records(t, phi, phi_dot, q_list, r_grid)[0]

@@ -153,7 +153,7 @@ def build_shell(spec: ShellSpec):
     w = spec.w_min + rng.random(spec.n) * (spec.w_max - spec.w_min)
     ell = spec.ell_min + rng.random(spec.n) * (spec.ell_max - spec.ell_min)
     mass = np.full(spec.n, spec.mass / spec.n)
-    ensemble = Ensemble(0.0, r, w, ell, mass, np.full(spec.n, "shell", dtype="U16"))
+    ensemble = Ensemble(0.0, r, w, ell, mass, np.full(spec.n, "shell"))
     threshold_sq = spec.mass / (2.0 * math.pi * spec.r_inner)
     margin_sq = spec.w_min**2 - threshold_sq
     report = ShellReport(
@@ -197,7 +197,7 @@ def build_circular_core(spec: CoreSpec):
     ell = np.sqrt(r * _cumulative_mass_of(spec, r) / FOUR_PI)
     mass = np.full(spec.n, spec.mass / spec.n)
     return Ensemble(
-        0.0, r, np.zeros(spec.n), ell, mass, np.full(spec.n, "core", dtype="U16")
+        0.0, r, np.zeros(spec.n), ell, mass, np.full(spec.n, "core")
     )
 
 

@@ -4,8 +4,16 @@ import pytest
 
 from vpshell.cli import cmd_classify, cmd_kurth, cmd_run, cmd_sweep, main
 from vpshell.config import load_config, parse_config
-from vpshell.csvio import diagnostics_header, read_diagnostics
+from vpshell.csvio import diagnostics_header, read_diagnostics, write_diagnostics
 from vpshell.errors import ClassifyInputError, ConfigError
+from vpshell.kurth import (
+    KurthState,
+    first_integral,
+    kurth_diagnostics,
+    kurth_lq_norm,
+    kurth_variance,
+    phi_closed_form,
+)
 
 SHELL_CFG = """\
 # escaping shell, desk scale
@@ -135,7 +143,6 @@ class TestRunCommand:
     def test_csv_round_trip_is_exact(self, shell_cfg, tmp_path):
         # shortest round-trip decimals: parsing back recovers the floats
         import numpy as np
-        from vpshell.csvio import write_diagnostics
 
         csv_path = cmd_run(load_config(shell_cfg), str(tmp_path / "out"))
         parsed = read_diagnostics(csv_path)
@@ -214,6 +221,29 @@ class TestKurthCommand:
               "--q-list", "1.5,2", "--r-grid", "1,4", "--out", str(tmp_path / "a")])
         b = cmd_kurth(0.5, 2.0, 0.5, (1.5, 2.0), str(tmp_path / "b"), (1.0, 4.0))
         assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.5, -2.5])
+    def test_rows_equal_single_state_records(self, k, tmp_path):
+        # the table is built over arrays; each row must be the record of
+        # its own state, and E, var_x, R2 and lq_ the scalar formulas
+        q_list, r_grid = (5.0 / 3.0, 3.0), (1.0, 2.0, 4.0, 8.0)
+        csv = cmd_kurth(k, 60.0, 0.1, q_list, str(tmp_path), r_grid)
+        times = read_diagnostics(csv).times
+        phi, phi_dot = phi_closed_form(times, k)
+        records = [
+            kurth_diagnostics(KurthState(t, p, pd), q_list=q_list, r_grid=r_grid)
+            for t, p, pd in zip(times.tolist(), phi.tolist(), phi_dot.tolist())
+        ]
+        again = tmp_path / "again.csv"
+        write_diagnostics(str(again), records, r_grid, q_list)
+        assert again.read_bytes() == open(csv, "rb").read()
+
+        rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
+        for row, p, pd in zip(rows, phi.tolist(), phi_dot.tolist()):
+            assert row[1] == repr(float(first_integral(p, pd)))
+            assert row[5] == repr(float(kurth_variance(p)))
+            assert row[9] == repr(p)
+            assert row[15:] == [repr(float(kurth_lq_norm(p, q))) for q in q_list]
 
     def test_simulator_columns_empty(self, tmp_path):
         csv = cmd_kurth(1.0, 5.0, 1.0, (5.0 / 3.0,), str(tmp_path))

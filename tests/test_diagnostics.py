@@ -128,6 +128,24 @@ class TestContainerValidation:
         with pytest.raises(ValueError):
             e.r[0] = 2.0
 
+    def test_long_group_label_kept(self, tmp_path):
+        # labels longer than 16 characters survive the ensemble, the
+        # record's shell radius and the snapshot file
+        from vpshell.csvio import write_snapshot
+        from vpshell.diagnostics import diagnostics_record
+
+        label = "outer_shell_population"
+        e = Ensemble(0.0, [0.5, 2.0, 3.0], [0.0] * 3, [0.0] * 3, [1.0] * 3,
+                     ["core", label, label])
+        assert list(e.group) == ["core", label, label]
+        rec = diagnostics_record(e, shell_group=label)
+        assert rec.inner_radius_shell == 2.0
+        assert rec.inner_radius == 0.5
+        path = tmp_path / "snap.csv"
+        write_snapshot(str(path), e)
+        assert [row.split(",")[-1] for row in path.read_text().splitlines()[2:]] == [
+            "core", label, label]
+
 
 class TestPotentialEnergy:
     def test_single_shell(self):

@@ -179,6 +179,14 @@ class TestStep:
         with pytest.raises(DomainError):
             step(e, dt)
 
+    @pytest.mark.parametrize("dt_min", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_dt_min(self, dt_min):
+        # a radial shell that must not be reflected keeps rejecting
+        # steps; at dt_min = 0 the halving would never stop
+        e = Ensemble(0.0, [0.5], [-2.0], [0.0], [1.0])
+        with pytest.raises(DomainError):
+            step(e, 1.0, reflection_enabled=False, dt_min=dt_min)
+
     def test_non_finite_state_is_numerical_error(self):
         # the run() repro: r^3 underflows for the inner shell, so the
         # state after the step is non-finite; that is a failure of the
