@@ -71,7 +71,7 @@ class TimeSeries:
         return self.times.size
 
     def trailing(self, frac=0.5):
-        start = self.times.size // 2 if frac == 0.5 else int(self.times.size * (1 - frac))
+        start = int(self.times.size * (1 - frac))
         return TimeSeries(self.times[start:], self.values[start:])
 
 
@@ -102,17 +102,17 @@ class PropositionCheck:
 @dataclass(frozen=True)
 class ClassificationReport:
     label: str
-    statistically_dispersive: bool | None
-    growth: GrowthFit | None
-    m_infinity: float | None
-    m_infinity_band: float | None
-    concentration_converged: bool | None
-    strong_decay_rate: float | None
-    virialized: bool | None
-    virial_metric_final: float | None
-    virial_metric_trace: tuple  # downsampled ((t, value), ...) pairs
-    interpolation_ratio_max: float | None
-    threshold: ThresholdCheck | None
+    statistically_dispersive: bool | None = None
+    growth: GrowthFit | None = None
+    m_infinity: float | None = None
+    m_infinity_band: float | None = None
+    concentration_converged: bool | None = None
+    strong_decay_rate: float | None = None
+    virialized: bool | None = None
+    virial_metric_final: float | None = None
+    virial_metric_trace: tuple = ()  # downsampled ((t, value), ...) pairs
+    interpolation_ratio_max: float | None = None
+    threshold: ThresholdCheck | None = None
     propositions: tuple = ()
     notes: tuple = ()
 
@@ -432,18 +432,7 @@ def classify(run_data, energy, momentum, total_mass):
     if times.size < 10:
         return ClassificationReport(
             label="undetermined",
-            statistically_dispersive=None,
-            growth=None,
-            m_infinity=None,
-            m_infinity_band=None,
-            concentration_converged=None,
-            strong_decay_rate=None,
-            virialized=None,
-            virial_metric_final=None,
-            virial_metric_trace=(),
-            interpolation_ratio_max=None,
             threshold=_threshold(energy, momentum_term),
-            propositions=(),
             notes=("fewer than 10 samples",),
         )
 

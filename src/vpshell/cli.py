@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .csvio import (
     write_manifest,
     write_snapshot,
 )
-from .dynamics import IntegratorConfig, run
+from .dynamics import IntegratorConfig, _record_times, run
 from .errors import ClassifyInputError, ConfigError, DomainError, NumericalError
 from .scenarios import (
     CoreSpec,
@@ -93,10 +92,8 @@ def _build_scenario(config: RunConfig, seed):
 
 
 def _kurth_records(k, t_end, cadence, q_list, r_grid):
-    n = int(math.floor(t_end / cadence + 1.0e-9)) + 1
-    times = np.arange(n) * cadence
-    if times[-1] < t_end - 1.0e-9 * cadence:
-        times = np.append(times, t_end)
+    # the simulator's record times, so a table and a run share their rows
+    times = np.array(_record_times(0.0, t_end, cadence))
     phi, phi_dot = kurth_mod.phi_closed_form(times, k)
     return kurth_mod._records(times, phi, phi_dot, q_list, r_grid)
 

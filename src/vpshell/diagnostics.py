@@ -34,17 +34,22 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _sorted_mass_profile(r, mass):
-    """Radii and masses in increasing radius plus the mass prefix sums.
+    """Radii and masses in increasing radius, the mass prefix sums and
+    the order that sorts them.
 
     Ties are broken by original index (stable sort); enclosed-mass
     queries use strict comparison, so coincident radii never see each
-    other's mass.  `prefix[k]` is the mass of the first k shells.
+    other's mass.  `prefix[k]` is the mass of the first k shells.  This
+    is the one argsort of radii in the package: the force kernel and
+    every diagnostic start from it.
     """
     order = np.argsort(r, kind="stable")
     r_sorted = r[order]
     m_sorted = mass[order]
-    prefix = np.concatenate(([0.0], np.cumsum(m_sorted)))
-    return r_sorted, m_sorted, prefix
+    prefix = np.empty(m_sorted.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(m_sorted, out=prefix[1:])
+    return r_sorted, m_sorted, prefix, order
 
 
 def _enclosed(r_sorted, prefix, radii):
@@ -64,7 +69,7 @@ def cumulative_mass(ensemble: Ensemble, r):
         raise DomainError("query radius must be finite")
     if np.any(r_arr < 0.0):
         raise DomainError("query radius must be >= 0")
-    r_sorted, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     out = _enclosed(r_sorted, prefix, r_arr)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
@@ -91,7 +96,7 @@ def potential_energy(ensemble: Ensemble):
     shells.  The result is >= 0; a lone shell of mass M at radius r
     contributes exactly M^2 / (8 pi r).
     """
-    r_sorted, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     return _field_energy(r_sorted, prefix)
 
 
@@ -243,7 +248,7 @@ def concentration_function(ensemble: Ensemble, R, return_center=False):
     With `return_center` the best centre distance is returned alongside
     the mass.
     """
-    r, mass, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, mass, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R))
     return (best, best_d) if return_center else best
 
@@ -265,7 +270,7 @@ def build_radial_profile(ensemble: Ensemble, n_bins):
 
     The binned mass equals the total mass up to summation rounding.
     """
-    r, _, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     return _radial_profile(r, prefix, n_bins)
 
 
@@ -302,7 +307,6 @@ def galilean_shift(E, Q, M, u):
 
 def diagnostics_record(
     ensemble: Ensemble,
-    time=None,
     r_grid=(),
     q_list=(),
     n_bins=None,
@@ -317,8 +321,8 @@ def diagnostics_record(
     The radii are sorted once; the field energy, every concentration
     radius and the histogram share that order.
     """
-    t = ensemble.time if time is None else float(time)
-    r, mass, prefix = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    t = ensemble.time
+    r, mass, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     e_kin = kinetic_energy(ensemble)
     e_pot = _field_energy(r, prefix)
     conc = tuple(

@@ -6,8 +6,9 @@ Each shell obeys
 
 with M(<r) the mass strictly inside r (a shell feels no self-force).
 The integrator is kick-drift-kick leapfrog with one force evaluation
-per step.  The force takes one stable argsort of the radii, the
-exclusive mass prefix in that order (equal radii share the prefix of
+per step.  The force takes the stable argsort and mass prefix of
+`diagnostics._sorted_mass_profile` (the one sort of radii in the
+package), keeps the exclusive prefix (equal radii share the prefix of
 their first member, found by a linear scan) and scatters it back
 through the order; there is no binary search, the argsort is the only
 O(N log N) part, and the particle order is never changed.  Shell
@@ -18,6 +19,11 @@ Purely radial shells (ell = 0) that drift through the centre are
 reflected: r -> |r|, w -> -w.  A centre crossing with ell > 0 means the
 step was too large; the step is rejected and retried with half the
 step until it succeeds or the step underflows.
+
+`run()` walks one sorted list of output times: the record times of
+`_record_times` (t0 + k * cadence up to t_end, then t_end), which the
+analytic Kurth tables share, merged with the snapshot times.  It steps
+towards each and lands on it exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import diagnostics_record
+from .diagnostics import _sorted_mass_profile, diagnostics_record
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -100,13 +106,9 @@ class TrajectorySink:
 
 
 def _raw_acceleration(r, ell, mass):
-    order = np.argsort(r, kind="stable")
-    sorted_mass = mass[order]
+    r_sorted, _, prefix, order = _sorted_mass_profile(r, mass)
     # exclusive prefix in radius order: the mass of every earlier shell
-    prefix = np.empty_like(sorted_mass)
-    prefix[:1] = 0.0
-    np.cumsum(sorted_mass[:-1], out=prefix[1:])
-    r_sorted = r[order]
+    prefix = prefix[:-1]
     tied = r_sorted[1:] == r_sorted[:-1]
     if tied.any():
         # equal radii take the prefix of their group's first member
@@ -235,6 +237,26 @@ def _group_stats(r, w, ell, mass, group_masks):
     return stats
 
 
+def _record_times(t0, t_end, cadence):
+    """Record times t0 + k * cadence up to t_end, then t_end itself
+    unless the last multiple lies within 1e-9 * cadence below it.
+
+    Raises DomainError unless 0 < cadence < inf and
+    -inf < t0 <= t_end < inf;
+    the check comes before the walk, so the walk always ends.
+    """
+    if not 0.0 < cadence < math.inf:
+        raise DomainError("output_cadence must be positive and finite")
+    if not -math.inf < t0 <= t_end < math.inf:
+        raise DomainError("t_end must be finite and not precede the start time")
+    times = []
+    while (t := t0 + len(times) * cadence) <= t_end:
+        times.append(t)
+    if times[-1] < t_end - 1.0e-9 * cadence:
+        times.append(t_end)
+    return times
+
+
 def run(
     ensemble: Ensemble,
     config: IntegratorConfig,
@@ -243,87 +265,67 @@ def run(
     n_bins=None,
     snapshot_times=(),
 ) -> TrajectorySink:
-    """Integrate to t_end, emitting diagnostics every output_cadence.
+    """Integrate to t_end, emitting a record at each `_record_times`
+    time and a snapshot at each requested time.
 
-    Deterministic given (ensemble, config): the step sequence depends
-    only on the state, and every reduction uses a fixed association
-    order.  Record times are exact multiples of the cadence (plus
-    t_end when it is not a multiple).  Snapshots are stored at the
-    requested times, which the stepper lands on exactly.  A non-finite
-    step size or state raises NumericalError at the last finite time
-    rather than ending the table early.
+    The two kinds of output time are walked as one sorted list, a
+    snapshot before a record at the same time.  For each target the
+    loop steps with min(dt, target - t) until it is within 1e-9 *
+    output_cadence of the target, then sets t to the target and emits,
+    so output times are exact.  Deterministic given (ensemble, config):
+    the step sequence depends only on the state, and every reduction
+    uses a fixed association order.  A non-finite step size or state
+    raises NumericalError at the last finite time rather than ending
+    the table early.
     """
     t0 = ensemble.time
-    t_end = config.t_end
-    if t_end < t0:
-        raise DomainError("t_end precedes the ensemble time")
+    cadence = config.output_cadence
+    snap_times = [float(s) for s in snapshot_times]
+    if not all(t0 <= s <= config.t_end for s in snap_times):
+        raise DomainError("snapshot times must lie within [t0, t_end]")
+    # False sorts first: a snapshot precedes a record at the same time
+    targets = sorted(
+        [(s, False) for s in snap_times]
+        + [(t, True) for t in _record_times(t0, config.t_end, cadence)]
+    )
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
-
-    sink = TrajectorySink()
-    snap_times = sorted(float(s) for s in snapshot_times)
-    for s in snap_times:
-        if s < t0 or s > t_end:
-            raise DomainError("snapshot times must lie within [t0, t_end]")
-
     group_masks = {
         str(name): group == name for name in np.unique(group) if name != ""
     }
-
-    def emit_record(t_now):
-        state = _state(t_now, r, w, ell, mass, group)
+    sink = TrajectorySink()
+    reflections = rejections = 0
+    accel = _raw_acceleration(r, ell, mass)
+    dt_cap = config.dt_initial  # caps the first step only
+    time_tol = 1.0e-9 * cadence
+    t = t0
+    for target, is_record in targets:
+        while t < target - time_tol:
+            dt = _raw_adaptive_dt(r, w, accel, config)
+            if not math.isfinite(dt):
+                raise NumericalError("non-finite step size", time=t)
+            r, w, accel, n_reflect, dt, n_reject = _accepted_step(
+                r, w, ell, mass, accel, min(dt, dt_cap, target - t),
+                config.reflection_enabled, config.dt_min, t,
+            )
+            dt_cap = math.inf
+            reflections += n_reflect
+            rejections += n_reject
+            t += dt
+        t = target
+        # `state` stays bound until the next output time: a copy freed at
+        # once is trimmed off the heap and faulted back in by the steps
+        state = _state(t, r, w, ell, mass, group)
+        if not is_record:
+            sink.snapshots.append(state)
+            continue
         sink.records.append(
             diagnostics_record(state, r_grid=r_grid, q_list=q_list, n_bins=n_bins)
         )
         sink.group_stats.append(_group_stats(r, w, ell, mass, group_masks))
         sink.events.append({"reflections": reflections, "rejections": rejections})
-
-    def emit_snapshot(t_now):
-        sink.snapshots.append(_state(t_now, r, w, ell, mass, group))
-
-    reflections = 0
-    rejections = 0
-    accel = _raw_acceleration(r, ell, mass)
-    emit_record(t0)
-    if snap_times and abs(snap_times[0] - t0) <= 1.0e-12 * max(1.0, abs(t0)):
-        emit_snapshot(t0)
-        snap_times.pop(0)
-
-    out_index = 1
-    t = t0
-    first = True
-    time_tol = 1.0e-9 * config.output_cadence
-    while t < t_end - time_tol:
-        next_record = t0 + out_index * config.output_cadence
-        boundary = min(next_record, t_end)
-        if snap_times:
-            boundary = min(boundary, snap_times[0])
-        dt = _raw_adaptive_dt(r, w, accel, config)
-        if not math.isfinite(dt):
-            raise NumericalError("non-finite step size", time=t)
-        if first:
-            dt = min(dt, config.dt_initial)
-            first = False
-        r, w, accel, n_reflect, dt, n_reject = _accepted_step(
-            r, w, ell, mass, accel, min(dt, boundary - t),
-            config.reflection_enabled, config.dt_min, t,
-        )
-        reflections += n_reflect
-        rejections += n_reject
-        t += dt
-        if snap_times and t >= snap_times[0] - time_tol:
-            t = snap_times[0]
-            emit_snapshot(t)
-            snap_times.pop(0)
-        if t >= min(next_record, t_end) - time_tol:
-            t = next_record if next_record <= t_end else t_end
-            emit_record(min(t, t_end))
-            reflections = 0
-            rejections = 0
-            out_index += 1
-            if t >= t_end - time_tol:
-                break
+        reflections = rejections = 0
     return sink
 
 

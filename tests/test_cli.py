@@ -1,11 +1,14 @@
 import json
+import math
 
 import pytest
 
 from vpshell.cli import cmd_classify, cmd_kurth, cmd_run, cmd_sweep, main
 from vpshell.config import load_config, parse_config
 from vpshell.csvio import diagnostics_header, read_diagnostics, write_diagnostics
-from vpshell.errors import ClassifyInputError, ConfigError
+from vpshell.dynamics import IntegratorConfig, run
+from vpshell.ensemble import Ensemble, ShellParticle
+from vpshell.errors import ClassifyInputError, ConfigError, DomainError
 from vpshell.kurth import (
     KurthState,
     first_integral,
@@ -245,6 +248,29 @@ class TestKurthCommand:
             assert row[9] == repr(p)
             assert row[15:] == [repr(float(kurth_lq_norm(p, q))) for q in q_list]
 
+    @pytest.mark.parametrize("t_end, cadence", [
+        (0.3, 0.1), (0.7, 0.1), (1.2, 0.1), (60.0, 0.1), (400.0, 0.5), (0.0, 0.1),
+    ])
+    def test_times_equal_simulator_record_times(self, t_end, cadence, tmp_path):
+        csv = cmd_kurth(0.5, t_end, cadence, (5.0 / 3.0,), str(tmp_path))
+        ensemble = Ensemble.from_particles([ShellParticle(1.0, 0.1)])
+        sink = run(ensemble, IntegratorConfig(t_end=t_end, output_cadence=cadence))
+        assert read_diagnostics(csv).times.tolist() == sink.times().tolist()
+        # 3 * 0.1 rounds to 0.30000000000000004: the table stops at 0.3
+        assert open(csv).read().splitlines()[-1].split(",")[0] == repr(t_end)
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_cadence", 0.0),
+        ("output_cadence", -0.5),
+        ("output_cadence", math.inf),
+        ("t_end", -1.0),
+    ])
+    def test_bad_horizon_or_cadence_is_domain_error(self, key, value, tmp_path):
+        config = parse_config(KURTH_CFG).replace(**{key: value})
+        with pytest.raises(DomainError):
+            cmd_run(config, str(tmp_path))
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_simulator_columns_empty(self, tmp_path):
         csv = cmd_kurth(1.0, 5.0, 1.0, (5.0 / 3.0,), str(tmp_path))
         parsed = read_diagnostics(csv)
@@ -314,6 +340,12 @@ class TestSweepCommand:
         summary = cmd_sweep(bad, "kurth.k", [0.5], str(tmp_path / "sweep"))
         rows = open(summary).read().splitlines()
         assert rows[1].split(",")[3] == "failed"
+
+    def test_bad_cadence_member_fails_alone(self, tmp_path):
+        cfg = parse_config(KURTH_CFG)
+        summary = cmd_sweep(cfg, "output_cadence", ["0", "0.5"], str(tmp_path / "sweep"))
+        labels = [row.split(",")[3] for row in open(summary).read().splitlines()[1:]]
+        assert labels == ["failed", "periodic"]
 
     def test_integer_parameter_coerced(self, tmp_path):
         path = tmp_path / "cfg"

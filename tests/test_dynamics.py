@@ -255,6 +255,35 @@ class TestRun:
         # free particle: snapshot radius is exact
         assert sink.snapshots[0].r[0] == pytest.approx(1.0 + 0.5 * 0.75, rel=1e-12)
 
+        # interacting shells: snapshots at t0, at record times, at t_end
+        # and repeated ones come out sorted at exactly the asked times;
+        # unless a snapshot falls between record times, the records are
+        # bitwise those of a run without snapshots
+        e = Ensemble(0.0, [0.5, 1.0, 2.0], [0.1, -0.2, 0.3], [0.1, 0.2, 0.3],
+                     [1.0, 0.5, 0.25])
+        cfg = IntegratorConfig(t_end=2.0, output_cadence=0.5)
+        plain = run(e, cfg, r_grid=(1.0,), q_list=(2.0,)).records
+        cases = [
+            ((0.0,), False),
+            ((1.0,), False),
+            ((2.0,), False),
+            ((2.0, 0.0, 1.5, 0.5), False),
+            ((1.0, 1.0), False),
+            ((2.0, 2.0), False),
+            ((0.75, 0.75), True),
+            ((0.25, 2.0, 0.25), True),
+        ]
+        for times, between in cases:
+            sink = run(e, cfg, r_grid=(1.0,), q_list=(2.0,), snapshot_times=times)
+            assert [s.time for s in sink.snapshots] == sorted(times)
+            assert [rec.time for rec in sink.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+            if not between:
+                assert sink.records == plain
+        # outside [t0, t_end], or NaN, which no step could ever reach
+        for bad in ((-0.5,), (2.5,), (math.nan,)):
+            with pytest.raises(DomainError):
+                run(e, cfg, snapshot_times=bad)
+
     def test_bound_system_energy_drift(self):
         # light tracer on an eccentric orbit around a heavy shell;
         # fixed step (clamped by cadence) over 1e4 steps
