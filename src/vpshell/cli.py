@@ -182,6 +182,8 @@ def cmd_classify(csv_path, energy=None, momentum=0.0, mass=None, out_path=None):
         energy = float(parsed.energy[0])
     if mass is None:
         mass = float(parsed.mass[0])
+    if not (np.isfinite(energy) and np.isfinite(momentum) and 0.0 < mass < np.inf):
+        raise DomainError("energy and momentum must be finite, mass in (0, inf)")
     report = _classify(parsed, energy, momentum, mass)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:

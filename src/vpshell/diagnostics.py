@@ -1,13 +1,16 @@
 """Instantaneous diagnostics of a shell-particle ensemble.
 
-Everything in this module is a pure function of an immutable ensemble
-snapshot.  Mass and energy reductions use numpy's pairwise summation,
-which is deterministic for a fixed array layout.
+Everything in this module is a pure function of an ensemble snapshot:
+an immutable `Ensemble`, or the `RawState` arrays that `run()` hands to
+`diagnostics_record` with the sort its last step already made.  Mass
+and energy reductions use numpy's pairwise summation, which is
+deterministic for a fixed array layout.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,6 +34,19 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+
+# An unchecked, uncopied state for `diagnostics_record`; `run()` sets
+# the total mass and the shell group's `_selector` once per run.
+RawState = namedtuple("RawState", "time r w ell mass total_mass shell")
+
+
+def _selector(mask):
+    """None for an empty mask, a slice when its set entries are
+    contiguous (as every scenario builder makes groups), else indices."""
+    idx = np.flatnonzero(mask)
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx if idx.size else None
 
 
 def _sorted_mass_profile(r, mass):
@@ -306,11 +322,12 @@ def galilean_shift(E, Q, M, u):
 
 
 def diagnostics_record(
-    ensemble: Ensemble,
+    ensemble: Ensemble | RawState,
     r_grid=(),
     q_list=(),
     n_bins=None,
     shell_group="shell",
+    profile=None,
 ):
     """Assemble a full DiagnosticsRecord for one snapshot.
 
@@ -320,9 +337,12 @@ def diagnostics_record(
     subpopulation when present, otherwise the global minimum radius.
     The radii are sorted once; the field energy, every concentration
     radius and the histogram share that order.
+
+    `run()` passes a `RawState`, whose shell selector replaces
+    `shell_group`, and the step kernel's (r_sorted, m_sorted, prefix).
     """
     t = ensemble.time
-    r, mass, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, mass, prefix = profile or _sorted_mass_profile(ensemble.r, ensemble.mass)[:3]
     e_kin = kinetic_energy(ensemble)
     e_pot = _field_energy(r, prefix)
     conc = tuple(
@@ -331,13 +351,14 @@ def diagnostics_record(
     )
     if q_list:
         if n_bins is None:
-            n_bins = int(math.ceil(math.sqrt(ensemble.n)))
-        profile = _radial_profile(r, prefix, n_bins)
-        norms = tuple((float(q), lq_norm(profile, q)) for q in q_list)
+            n_bins = int(math.ceil(math.sqrt(r.size)))
+        hist = _radial_profile(r, prefix, n_bins)
+        norms = tuple((float(q), lq_norm(hist, q)) for q in q_list)
     else:
         norms = ()
-    shell = ensemble.group == shell_group
-    r1_shell = float(ensemble.r[shell].min()) if shell.any() else float(r[0])
+    is_raw = isinstance(ensemble, RawState)
+    shell = ensemble.shell if is_raw else _selector(ensemble.group == shell_group)
+    r1_shell = float(r[0]) if shell is None else float(ensemble.r[shell].min())
     return DiagnosticsRecord(
         time=t,
         energy_total=e_kin - e_pot,

@@ -23,7 +23,8 @@ step until it succeeds or the step underflows.
 `run()` walks one sorted list of output times: the record times of
 `_record_times` (t0 + k * cadence up to t_end, then t_end), which the
 analytic Kurth tables share, merged with the snapshot times.  It steps
-towards each and lands on it exactly.
+towards each and lands on it exactly.  A record reads the raw arrays
+and the order the step's kernel sorted; only snapshots are `Ensemble`s.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _sorted_mass_profile, diagnostics_record
+from .diagnostics import RawState, _selector, _sorted_mass_profile, diagnostics_record
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -106,7 +107,8 @@ class TrajectorySink:
 
 
 def _raw_acceleration(r, ell, mass):
-    r_sorted, _, prefix, order = _sorted_mass_profile(r, mass)
+    """The acceleration and the (r_sorted, m_sorted, prefix) it sorted."""
+    r_sorted, _, prefix, order = profile = _sorted_mass_profile(r, mass)
     # exclusive prefix in radius order: the mass of every earlier shell
     prefix = prefix[:-1]
     tied = r_sorted[1:] == r_sorted[:-1]
@@ -118,19 +120,26 @@ def _raw_acceleration(r, ell, mass):
         prefix = prefix[first]
     enclosed = np.empty_like(prefix)
     enclosed[order] = prefix
-    return (ell * ell) / (r * r * r) - enclosed / (FOUR_PI * r * r)
+    # ell^2/((r r) r) - M/((4 pi r) r) with two temporaries, not eight
+    den = FOUR_PI * r
+    enclosed /= np.multiply(den, r, out=den)
+    accel = ell * ell
+    accel /= np.multiply(np.multiply(r, r, out=den), r, out=den)
+    accel -= enclosed
+    return accel, profile[:3]
 
 
 def acceleration(ensemble: Ensemble):
     """Per-particle radial acceleration ell^2/r^3 - M(<r)/(4 pi r^2)."""
-    return _raw_acceleration(ensemble.r, ensemble.ell, ensemble.mass)
+    return _raw_acceleration(ensemble.r, ensemble.ell, ensemble.mass)[0]
 
 
 def _raw_adaptive_dt(r, w, accel, config):
+    # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
-    dt_kin = r / (np.abs(w) + eps)
-    dt_dyn = np.sqrt(r / (np.abs(accel) + eps))
-    dt = config.dt_safety * float(np.min(np.minimum(dt_kin, dt_dyn)))
+    dt_kin = np.min(r / (np.abs(w) + eps))
+    dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
+    dt = config.dt_safety * float(np.minimum(dt_kin, dt_dyn))
     return min(max(dt, config.dt_min), config.output_cadence)
 
 
@@ -148,7 +157,7 @@ def adaptive_dt(ensemble: Ensemble, config: IntegratorConfig, accel=None):
 def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
     """One kick-drift-kick attempt.  Returns None if the step must be
     rejected (centre crossing of a particle that cannot be reflected),
-    else (r, w, accel, n_reflections)."""
+    else (r, w, accel, profile, n_reflections)."""
     w_half = w + (0.5 * dt) * accel
     r_new = r + dt * w_half
     crossed = r_new <= 0.0
@@ -160,16 +169,16 @@ def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
         w_half = np.where(crossed, -w_half, w_half)
         r_new = np.where(crossed, np.maximum(np.abs(r_new), _TINY), r_new)
         n_reflect = int(np.count_nonzero(crossed))
-    accel_new = _raw_acceleration(r_new, ell, mass)
+    accel_new, profile = _raw_acceleration(r_new, ell, mass)
     w_new = w_half + (0.5 * dt) * accel_new
-    return r_new, w_new, accel_new, n_reflect
+    return r_new, w_new, accel_new, profile, n_reflect
 
 
 def _accepted_step(r, w, ell, mass, accel, dt, reflection_enabled, dt_min, t):
     """Attempt a step of dt, halving it until an attempt is accepted.
 
-    Returns (r, w, accel, n_reflections, dt_taken, n_rejections).  A
-    half below `dt_min` raises StiffnessError at time t.
+    Returns (r, w, accel, profile, n_reflections, dt_taken, n_rejections).
+    A half below `dt_min` raises StiffnessError at time t.
     """
     rejections = 0
     while True:
@@ -209,12 +218,12 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     if not (0.0 < dt < math.inf and 0.0 < dt_min < math.inf):
         raise DomainError("dt and dt_min must be positive and finite")
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
-    accel = _raw_acceleration(r, ell, mass)
+    accel = _raw_acceleration(r, ell, mass)[0]
     t = ensemble.time
     remaining = dt
     h = dt
     while remaining > 0.0:
-        r, w, accel, _, h, _ = _accepted_step(
+        r, w, accel, _, _, h, _ = _accepted_step(
             r, w, ell, mass, accel, min(h, remaining), reflection_enabled, dt_min, t
         )
         t += h
@@ -222,17 +231,18 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     return _state(ensemble.time + dt, r, w, ell, mass, ensemble.group)
 
 
-def _group_stats(r, w, ell, mass, group_masks):
+def _group_stats(r, w, ell, mass, selectors):
     stats = {}
-    for name, mask in group_masks.items():
-        gm = float(np.sum(mass[mask]))
-        tang = ell[mask] / r[mask]
+    for name, sel in selectors.items():
+        gr, gw, gmass = r[sel], w[sel], mass[sel]
+        gm = float(np.sum(gmass))
+        tang = ell[sel] / gr
         stats[name] = {
-            "min_r": float(r[mask].min()),
-            "min_w": float(w[mask].min()),
+            "min_r": float(gr.min()),
+            "min_w": float(gw.min()),
             "mass": gm,
-            "variance": float(np.sum(mass[mask] * r[mask] ** 2) / gm),
-            "kinetic": float(0.5 * np.sum(mass[mask] * (w[mask] ** 2 + tang**2))),
+            "variance": float(np.sum(gmass * gr**2) / gm),
+            "kinetic": float(0.5 * np.sum(gmass * (gw**2 + tang**2))),
         }
     return stats
 
@@ -291,12 +301,13 @@ def run(
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
-    group_masks = {
-        str(name): group == name for name in np.unique(group) if name != ""
+    selectors = {
+        str(name): _selector(group == name) for name in np.unique(group) if name != ""
     }
+    shell = selectors.get("shell")
     sink = TrajectorySink()
     reflections = rejections = 0
-    accel = _raw_acceleration(r, ell, mass)
+    accel, profile = _raw_acceleration(r, ell, mass)
     dt_cap = config.dt_initial  # caps the first step only
     time_tol = 1.0e-9 * cadence
     t = t0
@@ -305,7 +316,8 @@ def run(
             dt = _raw_adaptive_dt(r, w, accel, config)
             if not math.isfinite(dt):
                 raise NumericalError("non-finite step size", time=t)
-            r, w, accel, n_reflect, dt, n_reject = _accepted_step(
+            profile = None  # free the last sort before the kernel makes the next
+            r, w, accel, profile, n_reflect, dt, n_reject = _accepted_step(
                 r, w, ell, mass, accel, min(dt, dt_cap, target - t),
                 config.reflection_enabled, config.dt_min, t,
             )
@@ -314,16 +326,19 @@ def run(
             rejections += n_reject
             t += dt
         t = target
-        # `state` stays bound until the next output time: a copy freed at
-        # once is trimmed off the heap and faulted back in by the steps
-        state = _state(t, r, w, ell, mass, group)
         if not is_record:
-            sink.snapshots.append(state)
+            sink.snapshots.append(_state(t, r, w, ell, mass, group))
             continue
-        sink.records.append(
-            diagnostics_record(state, r_grid=r_grid, q_list=q_list, n_bins=n_bins)
-        )
-        sink.group_stats.append(_group_stats(r, w, ell, mass, group_masks))
+        # ell and mass never change; NaN radii sort last
+        r_sorted = profile[0]
+        if not (r_sorted[0] > 0.0 and r_sorted[-1] < math.inf and np.isfinite(w).all()):
+            cause = DomainError("radii must be positive and finite, w finite")
+            raise NumericalError(f"invalid state: {cause}", time=t) from cause
+        raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell)
+        sink.records.append(diagnostics_record(
+            raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile
+        ))
+        sink.group_stats.append(_group_stats(r, w, ell, mass, selectors))
         sink.events.append({"reflections": reflections, "rejections": rejections})
         reflections = rejections = 0
     return sink

@@ -423,12 +423,29 @@ class TestMainExitCodes:
         import numpy as np
         import vpshell.dynamics as dynamics
 
+        kernel = dynamics._raw_acceleration
         monkeypatch.setattr(
-            dynamics, "_raw_acceleration", lambda r, ell, mass: np.full_like(r, np.nan)
+            dynamics,
+            "_raw_acceleration",
+            lambda r, ell, mass: (np.full_like(r, np.nan), kernel(r, ell, mass)[1]),
         )
         assert main(["run", "--config", shell_cfg, "--out", str(tmp_path / "o")]) == 3
         assert "non-finite step size (at t = 0)" in capsys.readouterr().err
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mass", "0"), ("--mass", "-1"), ("--mass", "nan"), ("--mass", "inf"),
+         ("--energy", "nan"), ("--energy", "inf"), ("--energy=-inf", None),
+         ("--momentum", "nan"), ("--momentum", "inf")],
+    )
+    def test_classify_bad_invariant_exits_2(self, flag, value, tmp_path, capsys):
+        # mass 0 divided by zero in the classifier; the others printed a label
+        csv = cmd_kurth(0.5, 4.0, 1.0, (5.0 / 3.0,), str(tmp_path))
+        args = [flag] if value is None else [flag, value]
+        assert main(["classify", csv, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err
 
     def test_classify_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,8 @@ from vpshell import (
     adaptive_dt,
     step,
 )
-from vpshell.dynamics import energy_drift, run
+from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, diagnostics_record
+from vpshell.dynamics import _raw_adaptive_dt, _selector, energy_drift, run
 
 FOUR_PI = 4.0 * math.pi
 
@@ -29,6 +30,37 @@ def searchsorted_acceleration(r, ell, mass):
     prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
     enclosed = prefix[np.searchsorted(r[order], r, side="left")]
     return (ell * ell) / (r * r * r) - enclosed / (FOUR_PI * r * r)
+
+
+def two_array_dt(r, w, accel, config):
+    """The earlier step control: the per-particle min of r/|w| and
+    sqrt(r/|a|), then the min over particles."""
+    eps = 1.0e-30
+    dt_kin = r / (np.abs(w) + eps)
+    dt_dyn = np.sqrt(r / (np.abs(accel) + eps))
+    dt = config.dt_safety * float(np.min(np.minimum(dt_kin, dt_dyn)))
+    return min(max(dt, config.dt_min), config.output_cadence)
+
+
+def mask_group_stats(ens):
+    """The earlier group stats of a snapshot: one boolean mask per label,
+    gathered again for every quantity."""
+    stats = {}
+    for name in np.unique(ens.group):
+        if name == "":
+            continue
+        mask = ens.group == name
+        r, w, ell, mass = ens.r, ens.w, ens.ell, ens.mass
+        gm = float(np.sum(mass[mask]))
+        tang = ell[mask] / r[mask]
+        stats[str(name)] = {
+            "min_r": float(r[mask].min()),
+            "min_w": float(w[mask].min()),
+            "mass": gm,
+            "variance": float(np.sum(mass[mask] * r[mask] ** 2) / gm),
+            "kinetic": float(0.5 * np.sum(mass[mask] * (w[mask] ** 2 + tang**2))),
+        }
+    return stats
 
 
 def tied_ensembles(seed, count=200, n_max=200):
@@ -226,6 +258,32 @@ class TestAdaptiveDt:
         # r/|w| of the inner particle = 0.002
         assert adaptive_dt(e, cfg) == pytest.approx(0.002, rel=1e-6)
 
+    def test_bitwise_equal_to_two_array_formula(self):
+        # sqrt is monotone and correctly rounded, so one sqrt of the
+        # minimum gives the bits of the minimum of the sqrts; w = 0 takes
+        # the eps guard, and a run of ties changes nothing
+        rng = np.random.default_rng(11)
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9, dt_safety=0.3)
+        zeros = 0
+        for e in tied_ensembles(9):
+            w = np.where(rng.random(e.n) < 0.3, 0.0, e.w)
+            zeros += int(np.count_nonzero(w == 0.0))
+            accel = acceleration(e)
+            got = _raw_adaptive_dt(e.r, w, accel, cfg)
+            assert cfg.dt_min < got < cfg.output_cadence
+            assert repr(got) == repr(two_array_dt(e.r, w, accel, cfg))
+        assert zeros > 1000
+
+    def test_nan_gives_non_finite_dt(self):
+        # Python's min() would drop the NaN and return a finite step
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
+        for e in tied_ensembles(10, count=20, n_max=50):
+            for k in {0, e.n // 2, e.n - 1}:
+                for into_w in (True, False):
+                    w, accel = e.w.copy(), acceleration(e)
+                    (w if into_w else accel)[k] = np.nan
+                    assert not math.isfinite(_raw_adaptive_dt(e.r, w, accel, cfg))
+
 
 class TestRun:
     def test_zero_horizon_single_record(self):
@@ -333,6 +391,53 @@ class TestRun:
             sink = run(ens, cfg, r_grid=(1.0,), q_list=(5 / 3,))
             outs.append(sink.series("variance"))
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestRecordPath:
+    """Records read the step's sort and raw arrays; they must equal what
+    an Ensemble snapshot of the same state gives, bit for bit."""
+
+    CFG = IntegratorConfig(t_end=10.0, output_cadence=1.0, dt_safety=0.05)
+    TIMES = tuple(float(k) for k in range(11))
+
+    def shell_plus_core(self):
+        core = CoreSpec(mass=1.0, radius=1.0, n=2000, seed=11)
+        shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
+                          n=500, seed=12)
+        return build_shell_plus_core(core, shell)[0]
+
+    def test_records_equal_snapshot_records(self):
+        ens = self.shell_plus_core()
+        kw = {"r_grid": (1.0, 2.0, 4.0), "q_list": (5.0 / 3.0, 2.0)}
+        sink = run(ens, self.CFG, snapshot_times=self.TIMES, **kw)
+        assert [s.time for s in sink.snapshots] == [rec.time for rec in sink.records]
+        for snap, rec in zip(sink.snapshots, sink.records):
+            assert repr(rec) == repr(diagnostics_record(snap, **kw))
+        plain = run(ens, self.CFG, **kw).records
+        assert repr(plain) == repr(sink.records)
+
+    def test_group_stats_equal_mask_formula_contiguous(self):
+        ens = self.shell_plus_core()
+        assert all(isinstance(_selector(ens.group == g), slice) for g in ("core", "shell"))
+        sink = run(ens, self.CFG, snapshot_times=self.TIMES)
+        assert len(sink.group_stats) == len(sink.snapshots) == 11
+        for snap, stats in zip(sink.snapshots, sink.group_stats):
+            assert repr(stats) == repr(mask_group_stats(snap))
+
+    def test_group_stats_equal_mask_formula_interleaved(self):
+        rng = np.random.default_rng(4)
+        n = 300
+        group = np.array(["a", "b", "", "shell"])[np.arange(n) % 4]
+        ens = Ensemble(0.0, 10.0 ** rng.uniform(-0.5, 0.5, n), rng.normal(0.0, 0.1, n),
+                       rng.uniform(0.2, 0.5, n), rng.uniform(0.1, 1.0, n), group)
+        assert all(isinstance(_selector(group == g), np.ndarray) for g in ("a", "b", "shell"))
+        assert _selector(group == "nobody") is None
+        cfg = IntegratorConfig(t_end=2.0, output_cadence=0.5, dt_safety=0.05)
+        sink = run(ens, cfg, snapshot_times=(0.0, 0.5, 1.0, 1.5, 2.0), r_grid=(1.0,))
+        assert sorted(sink.group_stats[0]) == ["a", "b", "shell"]
+        for snap, stats, rec in zip(sink.snapshots, sink.group_stats, sink.records):
+            assert repr(stats) == repr(mask_group_stats(snap))
+            assert repr(rec) == repr(diagnostics_record(snap, r_grid=(1.0,)))
 
 
 class TestIdentities:
