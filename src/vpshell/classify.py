@@ -423,9 +423,15 @@ def classify(run_data, energy, momentum, total_mass):
     `energy_kinetic` / `energy_potential` arrays (None when a source
     does not emit them).  `momentum` is |Q| (identically zero for the
     reduced spherical representation, kept explicit for boosted
-    bookkeeping).
+    bookkeeping).  A non-finite energy, a negative |Q|, a total mass
+    outside (0, inf) or a non-finite Q^2/(2M) raises DomainError.
     """
-    momentum_term = float(momentum) ** 2 / (2.0 * total_mass)
+    momentum = float(momentum)
+    if not (math.isfinite(energy) and momentum >= 0.0 and 0.0 < total_mass < math.inf):
+        raise DomainError("energy must be finite, momentum |Q| >= 0, mass in (0, inf)")
+    momentum_term = momentum * momentum / (2.0 * total_mass)
+    if not math.isfinite(momentum_term):
+        raise DomainError(f"Q^2/(2M) is not finite for |Q| = {momentum!r}")
     notes = []
     times = np.asarray(run_data.times, dtype=np.float64)
 

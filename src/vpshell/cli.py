@@ -19,7 +19,9 @@ from .classify import classify as _classify
 from .config import _DEFAULTS, _SCHEMA, RunConfig, _parse_float, _validated, load_config
 from .csvio import (
     _fmt,
+    normalised,
     read_diagnostics,
+    records_table,
     write_diagnostics,
     write_manifest,
     write_snapshot,
@@ -91,13 +93,6 @@ def _build_scenario(config: RunConfig, seed):
     raise ConfigError(f"scenario {scenario!r} is not a simulator scenario")
 
 
-def _kurth_records(k, t_end, cadence, q_list, r_grid):
-    # the simulator's record times, so a table and a run share their rows
-    times = np.array(_record_times(0.0, t_end, cadence))
-    phi, phi_dot = kurth_mod.phi_closed_form(times, k)
-    return kurth_mod._records(times, phi, phi_dot, q_list, r_grid)
-
-
 def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
     """Execute one configured run; writes diagnostics.csv, snapshots and
     manifest.json into `out_dir`.  Returns the diagnostics path.
@@ -105,6 +100,12 @@ def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
     `threads` is accepted for interface symmetry with sweep; a single
     run is sequential and deterministic regardless of its value.
     """
+    return _run(config, out_dir, seed)[0]
+
+
+def _run(config, out_dir, seed=None):
+    """`cmd_run`; returns the diagnostics path and the table written
+    there."""
     os.makedirs(out_dir, exist_ok=True)
     seed = config["seed"] if seed is None else int(seed)
     r_grid = config["r_grid"]
@@ -112,44 +113,32 @@ def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
     csv_path = os.path.join(out_dir, "diagnostics.csv")
 
     if config.scenario == "kurth":
-        records = _kurth_records(
-            config["kurth.k"], config["t_end"], config["output_cadence"],
-            q_list, r_grid,
+        # the simulator's record times, so a table and a run share their rows
+        times = np.array(_record_times(0.0, config["t_end"], config["output_cadence"]))
+        phi, phi_dot = kurth_mod.phi_closed_form(times, config["kurth.k"])
+        table = kurth_mod._table(times, phi, phi_dot, q_list, r_grid)
+        command, snapshots, extra = "kurth", (), None
+    else:
+        ensemble, scenario_report = _build_scenario(config, seed)
+        integrator = IntegratorConfig(
+            t_end=config["t_end"], output_cadence=config["output_cadence"],
+            dt_initial=config["dt_initial"], dt_safety=config["dt_safety"],
+            reflection_enabled=config["reflection"],
         )
-        write_diagnostics(csv_path, records, r_grid, q_list)
-        write_manifest(
-            os.path.join(out_dir, "manifest.json"),
-            "kurth", config.values, seed,
-        )
-        return csv_path
-
-    ensemble, scenario_report = _build_scenario(config, seed)
-    integrator = IntegratorConfig(
-        t_end=config["t_end"],
-        output_cadence=config["output_cadence"],
-        dt_initial=config["dt_initial"],
-        dt_safety=config["dt_safety"],
-        reflection_enabled=config["reflection"],
-    )
-    n_bins = config["n_bins"] or None
-    sink = run(
-        ensemble,
-        integrator,
-        r_grid=r_grid,
-        q_list=q_list,
-        n_bins=n_bins,
-        snapshot_times=config["snapshot_times"],
-    )
-    write_diagnostics(csv_path, sink.records, r_grid, q_list)
-    for snap in sink.snapshots:
+        sink = run(ensemble, integrator, r_grid=r_grid, q_list=q_list,
+                   n_bins=config["n_bins"] or None,
+                   snapshot_times=config["snapshot_times"])
+        table = records_table(sink.records, r_grid, q_list)
+        command, snapshots = "run", sink.snapshots
+        extra = {"scenario_report": scenario_report} if scenario_report else None
+    write_diagnostics(csv_path, table, r_grid, q_list)
+    for snap in snapshots:
         name = f"snapshot_t{repr(float(snap.time))}.csv"
         write_snapshot(os.path.join(out_dir, name), snap)
     write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        "run", config.values, seed,
-        extra={"scenario_report": scenario_report} if scenario_report else None,
+        os.path.join(out_dir, "manifest.json"), command, config.values, seed, extra=extra
     )
-    return csv_path
+    return csv_path, table
 
 
 def cmd_kurth(k, t_end, cadence, q_list, out_dir, r_grid=(1.0, 2.0, 4.0)):
@@ -177,13 +166,15 @@ def cmd_classify(csv_path, energy=None, momentum=0.0, mass=None, out_path=None):
     `energy` and `mass` default to the first-row values of the file.
     Returns the ClassificationReport.
     """
-    parsed = read_diagnostics(csv_path)
+    return _report(read_diagnostics(csv_path), energy, momentum, mass, out_path)
+
+
+def _report(parsed, energy=None, momentum=0.0, mass=None, out_path=None):
+    """`cmd_classify` of a normalised table."""
     if energy is None:
         energy = float(parsed.energy[0])
     if mass is None:
         mass = float(parsed.mass[0])
-    if not (np.isfinite(energy) and np.isfinite(momentum) and 0.0 < mass < np.inf):
-        raise DomainError("energy and momentum must be finite, mass in (0, inf)")
     report = _classify(parsed, energy, momentum, mass)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -197,8 +188,9 @@ def _sweep_one(args):
     values = dict(base_values)
     values[param] = value
     config = RunConfig(values["scenario"], values)
-    csv_path = cmd_run(config, run_dir)
-    report = cmd_classify(csv_path, out_path=os.path.join(run_dir, "report.json"))
+    # the table equals a read of the file bit for bit (repr round-trips)
+    _, table = _run(config, run_dir)
+    report = _report(normalised(table), out_path=os.path.join(run_dir, "report.json"))
     return {
         "value": value,
         "E": report.threshold.energy,

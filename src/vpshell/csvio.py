@@ -1,4 +1,5 @@
-"""Diagnostics CSV schema, snapshot files and run manifests.
+"""Diagnostics CSV schema, the in-memory table, snapshot files and run
+manifests.
 
 The diagnostics header is fixed:
 
@@ -9,6 +10,15 @@ with one `conc_R` column per configured ball radius and one `lq_`
 column per configured exponent.  Numbers are written as their shortest
 round-trip decimal (Python repr), missing values as empty fields, and
 lines end with LF, so identical runs produce byte-identical files.
+
+`ParsedRun` is a run's one table from builder to label.  `_rows`
+formats it a row at a time: `",".join(map(repr, row))` over the stacked
+float columns, then the texts `nan`, `-inf` and `inf` are deleted.  A
+finite float's repr holds no letter but `e`, so the deletion leaves
+every finite cell as `_fmt` writes it.  The column rule (`normalised`)
+makes a column with a missing or non-finite cell None if it is optional
+and a ClassifyInputError if it is required; the reader applies it too,
+so a run's normalised table equals the read of its file bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import json
 import math
 import platform
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +37,8 @@ __all__ = [
     "diagnostics_header",
     "write_diagnostics",
     "read_diagnostics",
+    "records_table",
+    "normalised",
     "ParsedRun",
     "write_snapshot",
     "write_manifest",
@@ -52,7 +63,10 @@ _SCHEMA = (
 
 FIXED_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
 
-_fixed_cells = attrgetter(*(attr for _, attr, _, _ in _SCHEMA))
+_FIELDS = tuple(field for _, _, field, _ in _SCHEMA)
+
+# rows formatted per block, so a large table never becomes one list
+_BLOCK = 4096
 
 
 def _fmt(value):
@@ -63,6 +77,19 @@ def _fmt(value):
     return repr(value) if math.isfinite(value) else ""
 
 
+def _rows(columns):
+    """Text of each row of equal-length columns, every cell as `_fmt`
+    writes it (see the module docstring)."""
+    table = np.column_stack(columns)
+    for start in range(0, len(table), _BLOCK):
+        for row in table[start : start + _BLOCK].tolist():
+            text = ",".join(map(repr, row))
+            # only "nan" and "inf" hold an "n"
+            if "n" in text:
+                text = text.replace("nan", "").replace("-inf", "").replace("inf", "")
+            yield text
+
+
 def diagnostics_header(r_grid, q_list):
     columns = list(FIXED_COLUMNS)
     columns += [f"conc_R{_fmt(float(radius))}" for radius in r_grid]
@@ -70,25 +97,10 @@ def diagnostics_header(r_grid, q_list):
     return ",".join(columns)
 
 
-def write_diagnostics(path, records, r_grid, q_list):
-    """Write DiagnosticsRecords with the fixed schema to `path`."""
-    r_grid = tuple(float(radius) for radius in r_grid)
-    q_list = tuple(float(q) for q in q_list)
-    lines = [diagnostics_header(r_grid, q_list)]
-    for rec in records:
-        conc = dict(rec.concentration)
-        lq = dict(rec.lq_norms)
-        row = list(map(_fmt, _fixed_cells(rec)))
-        row += [_fmt(conc[radius]) for radius in r_grid]
-        row += [_fmt(lq[q]) for q in q_list]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 @dataclass
 class ParsedRun:
-    """Column-oriented view of one diagnostics file."""
+    """Column-oriented table of one run: arrays, or None for an optional
+    column without values."""
 
     times: np.ndarray
     energy: np.ndarray
@@ -105,8 +117,63 @@ class ParsedRun:
     lq: dict  # q -> array
 
 
+def records_table(records, r_grid, q_list):
+    """The table of DiagnosticsRecords; a None cell becomes NaN."""
+    records = list(records)
+    conc = [dict(rec.concentration) for rec in records]
+    lq = [dict(rec.lq_norms) for rec in records]
+    return ParsedRun(
+        **{field: np.array([getattr(rec, attr) for rec in records], np.float64)
+           for _, attr, field, _ in _SCHEMA},
+        conc={float(R): np.array([row[R] for row in conc], np.float64) for R in r_grid},
+        lq={float(q): np.array([row[q] for row in lq], np.float64) for q in q_list},
+    )
+
+
+def write_diagnostics(path, records, r_grid, q_list):
+    """Write a ParsedRun, or a list of DiagnosticsRecords, with the fixed
+    schema to `path`; a None column is written empty."""
+    r_grid = tuple(float(radius) for radius in r_grid)
+    q_list = tuple(float(q) for q in q_list)
+    table = records
+    if not isinstance(table, ParsedRun):
+        table = records_table(records, r_grid, q_list)
+    empty = np.full(len(table.times), np.nan)
+    columns = [getattr(table, field) for field in _FIELDS]
+    columns = [empty if values is None else values for values in columns]
+    columns += [table.conc[radius] for radius in r_grid]
+    columns += [table.lq[q] for q in q_list]
+    lines = [diagnostics_header(r_grid, q_list), *_rows(columns)]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _column(values, name, needed):
+    """The column rule: `values` if every cell is finite; else None for
+    an optional column and ClassifyInputError for a required one."""
+    # a None column has no cell with a value
+    bad = np.ones(1, bool) if values is None else ~np.isfinite(values)
+    if not bad.any():
+        return values
+    if needed:
+        row = 2 + int(np.argmax(bad))
+        raise ClassifyInputError(f"column {name} has missing values", row=row)
+    return None
+
+
+def normalised(table):
+    """`table` under the column rule, as `read_diagnostics` returns it."""
+    fixed = {
+        field: _column(getattr(table, field), name, needed)
+        for name, _, field, needed in _SCHEMA
+    }
+    conc = {R: _column(v, f"conc_R{R}", True) for R, v in table.conc.items()}
+    lq = {q: _column(v, f"lq_{q}", True) for q, v in table.lq.items()}
+    return ParsedRun(**fixed, conc=conc, lq=lq)
+
+
 def read_diagnostics(path):
-    """Parse a diagnostics CSV back into arrays.
+    """Parse a diagnostics CSV back into its normalised table.
 
     Raises ClassifyInputError with the offending row number when the
     header or a data row does not conform.
@@ -122,15 +189,18 @@ def read_diagnostics(path):
         )
     conc_radii = []
     lq_exponents = []
-    for name in header[len(FIXED_COLUMNS) :]:
-        if name.startswith("conc_R"):
-            if lq_exponents:
-                raise ClassifyInputError("conc_R columns must precede lq_", row=1)
-            conc_radii.append(float(name[len("conc_R") :]))
-        elif name.startswith("lq_"):
-            lq_exponents.append(float(name[len("lq_") :]))
-        else:
-            raise ClassifyInputError(f"unknown column {name!r}", row=1)
+    try:
+        for name in header[len(FIXED_COLUMNS) :]:
+            if name.startswith("conc_R"):
+                if lq_exponents:
+                    raise ClassifyInputError("conc_R columns must precede lq_", row=1)
+                conc_radii.append(float(name[len("conc_R") :]))
+            elif name.startswith("lq_"):
+                lq_exponents.append(float(name[len("lq_") :]))
+            else:
+                raise ClassifyInputError(f"unknown column {name!r}", row=1)
+    except ValueError as exc:
+        raise ClassifyInputError(str(exc), row=1)
 
     n_cols = len(header)
     rows = []
@@ -143,46 +213,28 @@ def read_diagnostics(path):
                 f"expected {n_cols} fields, found {len(parts)}", row=row_no
             )
         try:
-            rows.append([float(p) if p else None for p in parts])
+            rows.append([float(p or "nan") for p in parts])
         except ValueError as exc:
             raise ClassifyInputError(str(exc), row=row_no)
     if not rows:
         raise ClassifyInputError("no data rows", row=2)
 
-    def column(index, name, needed=True):
-        values = [row[index] for row in rows]
-        if None not in values:
-            return np.array(values, dtype=np.float64)
-        if needed:
-            raise ClassifyInputError(f"column {name} has missing values", row=2)
-        return None
-
+    # one contiguous array per column, as a builder makes them
+    columns = np.array(rows, dtype=np.float64).T.copy()
     n_fixed = len(FIXED_COLUMNS)
-    conc = {R: column(n_fixed + i, f"conc_R{R}") for i, R in enumerate(conc_radii)}
     n_conc = n_fixed + len(conc_radii)
-    lq = {q: column(n_conc + i, f"lq_{q}") for i, q in enumerate(lq_exponents)}
-    fixed = {
-        field: column(i, name, needed)
-        for i, (name, _, field, needed) in enumerate(_SCHEMA)
-    }
-    return ParsedRun(**fixed, conc=conc, lq=lq)
+    return normalised(ParsedRun(
+        **dict(zip(_FIELDS, columns)),
+        conc=dict(zip(conc_radii, columns[n_fixed:n_conc])),
+        lq=dict(zip(lq_exponents, columns[n_conc:])),
+    ))
 
 
 def write_snapshot(path, ensemble):
     """Particle table at one time: r,w,ell,mass,group rows."""
     lines = [f"# t = {_fmt(ensemble.time)}", "r,w,ell,mass,group"]
-    for i in range(ensemble.n):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(ensemble.r[i]),
-                    _fmt(ensemble.w[i]),
-                    _fmt(ensemble.ell[i]),
-                    _fmt(ensemble.mass[i]),
-                    str(ensemble.group[i]),
-                )
-            )
-        )
+    cells = _rows((ensemble.r, ensemble.w, ensemble.ell, ensemble.mass))
+    lines += [f"{row},{group}" for row, group in zip(cells, ensemble.group.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

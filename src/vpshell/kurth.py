@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import ParsedRun
 from .ensemble import DiagnosticsRecord
 from .errors import DomainError, SingularityError
 
@@ -409,36 +410,19 @@ def potential_scaled(state: KurthState):
     return 1.2 / state.phi
 
 
-def _records(t, phi, phi_dot, q_list, r_grid):
-    """DiagnosticsRecords of the family at times t from arrays of phi
-    and phi'.  Each quantity is evaluated once over the arrays."""
-    radii = [float(R) for R in r_grid]
-    exponents = [float(q) for q in q_list]
-    n = phi.size
-    conc = np.reshape([kurth_concentration(phi, R) for R in radii], (len(radii), n))
-    norms = np.reshape([kurth_lq_norm(phi, q) for q in exponents], (len(exponents), n))
-    rows = zip(
-        t.tolist(), phi.tolist(), first_integral(phi, phi_dot).tolist(),
-        kurth_variance(phi).tolist(), conc.T.tolist(), norms.T.tolist(),
+def _table(t, phi, phi_dot, q_list, r_grid):
+    """The family's diagnostics table at times t from arrays of phi and
+    phi'.  Each quantity is evaluated once over the arrays; the
+    simulator-only columns are None."""
+    zeros = np.zeros_like(phi)
+    return ParsedRun(
+        times=t, energy=first_integral(phi, phi_dot), energy_kinetic=None,
+        energy_potential=None, mass=np.ones_like(phi), variance=kurth_variance(phi),
+        dilation=None, conformal=None, inner_radius=zeros, outer_radius=phi,
+        inner_radius_shell=zeros,
+        conc={float(R): kurth_concentration(phi, float(R)) for R in r_grid},
+        lq={float(q): kurth_lq_norm(phi, q) for q in q_list},
     )
-    return [
-        DiagnosticsRecord(
-            time=time,
-            energy_total=energy,
-            energy_kinetic=None,
-            energy_potential=None,
-            mass=1.0,
-            variance=variance,
-            dilation_moment=None,
-            conformal_moment=None,
-            inner_radius=0.0,
-            outer_radius=radius,
-            inner_radius_shell=0.0,
-            concentration=tuple(zip(radii, masses)),
-            lq_norms=tuple(zip(exponents, lq)),
-        )
-        for time, radius, energy, variance, masses, lq in rows
-    ]
 
 
 def kurth_diagnostics(state: KurthState, q_list=(), r_grid=()):
@@ -450,4 +434,12 @@ def kurth_diagnostics(state: KurthState, q_list=(), r_grid=()):
     the module docstring), so only scale-free quantities are reported.
     """
     t, phi, phi_dot = np.array([[state.t], [state.phi], [state.phi_dot]], float)
-    return _records(t, phi, phi_dot, q_list, r_grid)[0]
+    row = _table(t, phi, phi_dot, q_list, r_grid)
+    return DiagnosticsRecord(
+        time=float(t[0]), energy_total=float(row.energy[0]), energy_kinetic=None,
+        energy_potential=None, mass=1.0, variance=float(row.variance[0]),
+        dilation_moment=None, conformal_moment=None, inner_radius=0.0,
+        outer_radius=float(phi[0]), inner_radius_shell=0.0,
+        concentration=tuple((float(R), float(row.conc[float(R)][0])) for R in r_grid),
+        lq_norms=tuple((float(q), float(row.lq[float(q)][0])) for q in q_list),
+    )

@@ -12,6 +12,7 @@ from vpshell.classify import (
     _detect_period,
 )
 from vpshell.csvio import ParsedRun
+from vpshell.errors import DomainError
 
 
 def make_run(times, variance, conc=None, lq=None, ekin=None, epot=None):
@@ -190,6 +191,16 @@ class TestClassifyCascade:
         run = make_run(np.linspace(0, 5, 6), np.ones(6))
         report = classify(run, 0.0, 0.0, 1.0)
         assert report.label == "undetermined"
+
+    @pytest.mark.parametrize("energy, momentum, mass", [
+        (0.0, -1.0, 1.0), (0.0, 1e300, 1.0), (0.0, 1e5, 1e-300), (0.0, np.nan, 1.0),
+        (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, -1.0),
+    ])
+    def test_invariants_outside_domain_refused(self, energy, momentum, mass):
+        # mass 0 divided by zero, |Q| = 1e300 overflowed, the others gave a label
+        run = make_run(np.linspace(0, 5, 6), np.ones(6))
+        with pytest.raises(DomainError):
+            classify(run, energy, momentum, mass)
 
     def test_strong_dispersion_wins(self):
         t = np.linspace(0.0, 400.0, 300)

@@ -391,6 +391,33 @@ class TestSweepCommand:
         with pytest.raises(ConfigError):
             cmd_sweep(cfg, "r_grid", [1.0], str(tmp_path / "sweep"))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("scenario", ["kurth", "shell"])
+    def test_member_report_equals_classify_of_its_file(self, scenario, threads, tmp_path):
+        # a member is classified from the table it wrote, not from a read
+        # of the file; the two must give the same report bytes
+        if scenario == "kurth":
+            cfg, param, values = parse_config(KURTH_CFG), "kurth.k", [0.0, 0.5, 1.5]
+        else:
+            cfg, param, values = parse_config(SHELL_CFG.format(t_end=5.0)), "shell.w_min", [0.5, 0.55]
+        out = tmp_path / "sweep"
+        cmd_sweep(cfg, param, values, str(out), threads=threads)
+        for i in range(len(values)):
+            member = out / f"run_{i:03d}"
+            again = tmp_path / f"report_{i}.json"
+            cmd_classify(str(member / "diagnostics.csv"), out_path=str(again))
+            assert (member / "report.json").read_bytes() == again.read_bytes()
+
+    def test_member_csv_not_read_back(self, tmp_path, monkeypatch):
+        import vpshell.cli as cli
+
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_diagnostics", refuse)
+        summary = cmd_sweep(parse_config(KURTH_CFG), "kurth.k", [0.5], str(tmp_path / "s"))
+        assert open(summary).read().splitlines()[1].split(",")[3] == "periodic"
+
 
 class TestMainExitCodes:
     def test_success(self, shell_cfg, tmp_path, capsys):
@@ -437,10 +464,12 @@ class TestMainExitCodes:
         "flag, value",
         [("--mass", "0"), ("--mass", "-1"), ("--mass", "nan"), ("--mass", "inf"),
          ("--energy", "nan"), ("--energy", "inf"), ("--energy=-inf", None),
-         ("--momentum", "nan"), ("--momentum", "inf")],
+         ("--momentum", "nan"), ("--momentum", "inf"),
+         ("--momentum=1e300", None), ("--momentum=-1", None)],
     )
     def test_classify_bad_invariant_exits_2(self, flag, value, tmp_path, capsys):
-        # mass 0 divided by zero in the classifier; the others printed a label
+        # mass 0 divided by zero in the classifier, |Q| = 1e300 overflowed
+        # Q^2 with a traceback; the others printed a label
         csv = cmd_kurth(0.5, 4.0, 1.0, (5.0 / 3.0,), str(tmp_path))
         args = [flag] if value is None else [flag, value]
         assert main(["classify", csv, *args]) == 2

@@ -1,0 +1,195 @@
+"""The row formatter against a per-cell oracle, and the column rule on
+the read and the in-memory paths."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from vpshell.csvio import (
+    diagnostics_header,
+    normalised,
+    read_diagnostics,
+    records_table,
+    write_diagnostics,
+    write_snapshot,
+)
+from vpshell.ensemble import DiagnosticsRecord, Ensemble
+from vpshell.errors import ClassifyInputError
+
+FIELDS = (
+    "times", "energy", "energy_kinetic", "energy_potential", "mass", "variance",
+    "dilation", "conformal", "inner_radius", "outer_radius", "inner_radius_shell",
+)
+ATTRS = (
+    "time", "energy_total", "energy_kinetic", "energy_potential", "mass", "variance",
+    "dilation_moment", "conformal_moment", "inner_radius", "outer_radius",
+    "inner_radius_shell",
+)
+OPTIONAL = {"energy_kinetic", "energy_potential", "dilation_moment", "conformal_moment"}
+EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         1.0, 3.0, -12.0, 1e16, 2.0**53)
+NON_FINITE = (None, math.nan, math.inf, -math.inf)
+
+
+def cell(value):
+    """Per-cell oracle: shortest round-trip decimal, "" for None or non-finite."""
+    if value is None:
+        return ""
+    value = float(value)
+    return repr(value) if math.isfinite(value) else ""
+
+
+def oracle_diagnostics(records, r_grid, q_list):
+    lines = [diagnostics_header(r_grid, q_list)]
+    for rec in records:
+        conc, lq = dict(rec.concentration), dict(rec.lq_norms)
+        row = [cell(getattr(rec, attr)) for attr in ATTRS]
+        row += [cell(conc[R]) for R in r_grid] + [cell(lq[q]) for q in q_list]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def finite(rng):
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(EDGES)
+    if pick < 0.4:
+        return float(rng.randint(-10**6, 10**6))
+    return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-320, 300)
+
+
+def value(rng, missing):
+    return rng.choice(NON_FINITE) if rng.random() < missing else finite(rng)
+
+
+def random_records(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0):
+    """Records whose optional cells are missing or non-finite with
+    probability `missing`, the required ones with `required_missing`."""
+    records = []
+    for _ in range(n):
+        cells = {
+            attr: value(rng, missing if attr in OPTIONAL else required_missing)
+            for attr in ATTRS
+        }
+        records.append(DiagnosticsRecord(
+            **cells,
+            concentration=tuple((R, value(rng, required_missing)) for R in r_grid),
+            lq_norms=tuple((q, value(rng, required_missing)) for q in q_list),
+        ))
+    return records
+
+
+def random_grids(rng):
+    r_grid = tuple(sorted({round(rng.uniform(0.1, 10.0), 3) for _ in range(rng.randint(0, 4))}))
+    q_list = tuple(sorted({rng.choice((1.0, 1.5, 5.0 / 3.0, 3.0)) for _ in range(rng.randint(0, 3))}))
+    return r_grid, q_list
+
+
+def same_column(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_tables_bitwise_equal(a, b):
+    for field in FIELDS:
+        assert same_column(getattr(a, field), getattr(b, field)), field
+    for name in ("conc", "lq"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert list(left) == list(right)
+        assert all(same_column(left[key], right[key]) for key in left), name
+
+
+def test_writer_bytes_equal_per_cell_oracle(tmp_path):
+    rng = random.Random(20261019)
+    path = tmp_path / "d.csv"
+    for _ in range(40):
+        r_grid, q_list = random_grids(rng)
+        records = random_records(rng, rng.randint(0, 30), r_grid, q_list,
+                                 missing=0.3, required_missing=0.1)
+        want = oracle_diagnostics(records, r_grid, q_list)
+        write_diagnostics(str(path), records, r_grid, q_list)
+        assert path.read_bytes() == want
+        write_diagnostics(str(path), records_table(records, r_grid, q_list), r_grid, q_list)
+        assert path.read_bytes() == want
+
+
+def test_read_equals_normalised_table(tmp_path):
+    rng = random.Random(7)
+    path = tmp_path / "d.csv"
+    nones = 0
+    for _ in range(40):
+        r_grid, q_list = random_grids(rng)
+        records = random_records(rng, rng.randint(1, 30), r_grid, q_list,
+                                 missing=rng.choice((0.0, 0.05, 0.5)))
+        table = records_table(records, r_grid, q_list)
+        write_diagnostics(str(path), table, r_grid, q_list)
+        expected = normalised(table)
+        parsed = read_diagnostics(str(path))
+        assert_tables_bitwise_equal(parsed, expected)
+        nones += sum(getattr(parsed, field) is None for field in FIELDS)
+        # a normalised table writes the same bytes and is its own normal form
+        assert_tables_bitwise_equal(normalised(expected), expected)
+        write_diagnostics(str(path), expected, r_grid, q_list)
+        assert_tables_bitwise_equal(read_diagnostics(str(path)), expected)
+    assert nones > 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_required_non_finite_cell_raises_on_both_paths(bad, tmp_path):
+    rng = random.Random(11)
+    r_grid, q_list = (1.0, 2.0), (5.0 / 3.0,)
+    path = tmp_path / "d.csv"
+    required = [f for f, a in zip(FIELDS, ATTRS) if a not in OPTIONAL]
+    for target in required + ["conc", "lq"]:
+        records = random_records(rng, 12, r_grid, q_list, missing=0.0)
+        table = records_table(records, r_grid, q_list)
+        row = rng.randrange(12)
+        column = table.conc[2.0] if target == "conc" else (
+            table.lq[5.0 / 3.0] if target == "lq" else getattr(table, target))
+        column[row] = np.nan if bad is None else bad
+        write_diagnostics(str(path), table, r_grid, q_list)
+        with pytest.raises(ClassifyInputError) as in_memory:
+            normalised(table)
+        with pytest.raises(ClassifyInputError) as on_disk:
+            read_diagnostics(str(path))
+        assert in_memory.value.row == on_disk.value.row == row + 2
+        assert str(in_memory.value) == str(on_disk.value)
+
+
+@pytest.mark.parametrize("column", ["conc_Rabc", "lq_", "conc_R"])
+def test_unparsable_header_number_is_input_error(column, tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(diagnostics_header((), ()) + f",{column}\n" + ",".join(["1.0"] * 12) + "\n")
+    with pytest.raises(ClassifyInputError) as err:
+        read_diagnostics(str(path))
+    assert err.value.row == 1
+
+
+def oracle_snapshot(ensemble):
+    lines = [f"# t = {cell(ensemble.time)}", "r,w,ell,mass,group"]
+    for i in range(ensemble.n):
+        lines.append(",".join((
+            cell(ensemble.r[i]), cell(ensemble.w[i]), cell(ensemble.ell[i]),
+            cell(ensemble.mass[i]), str(ensemble.group[i]),
+        )))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_snapshot_bytes_equal_per_cell_oracle(tmp_path):
+    rng = random.Random(5)
+    path = tmp_path / "snap.csv"
+    for n in (1, 2, 17, 5000):
+        def positive():
+            return [abs(finite(rng)) or 5e-324 for _ in range(n)]
+
+        ensemble = Ensemble(
+            finite(rng), positive(), [finite(rng) for _ in range(n)],
+            # masses small enough that their total stays finite
+            [abs(finite(rng)) for _ in range(n)], [min(m, 1e300) for m in positive()],
+            [rng.choice(("", "core", "outer_shell_population")) for _ in range(n)],
+        )
+        write_snapshot(str(path), ensemble)
+        assert path.read_bytes() == oracle_snapshot(ensemble)
