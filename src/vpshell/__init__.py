@@ -39,8 +39,6 @@ from .errors import (
     StiffnessError,
 )
 from .kurth import (
-    KurthParams,
-    KurthState,
     KurthTrajectory,
     classify_k,
     first_integral,
@@ -49,9 +47,6 @@ from .kurth import (
     kurth_energy,
     kurth_period,
     phi_closed_form,
-    phi_elliptic,
-    phi_hyperbolic,
-    phi_parabolic,
 )
 from .scenarios import (
     CoreSpec,

@@ -355,8 +355,7 @@ def _is_flat(values, rel=1.0e-2):
     return float(values.max() - values.min()) <= rel * scale
 
 
-def check_propositions(energy, momentum_sq_over_2m, total_mass, label,
-                       growth, m_infinity, epot_vanishes):
+def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes):
     """Consistency checks tying the label to the conserved quantities.
 
     A failed implication signals a simulation or classification bug,
@@ -516,10 +515,7 @@ def classify(run_data, energy, momentum, total_mass):
         notes.append(f"interpolation ratio bounded by {ratio_max:.4g}")
 
     epot_vanishes = None if epot is None else _epot_vanishing(times, epot)
-    propositions = check_propositions(
-        energy, momentum_term, total_mass, label, growth,
-        conc["m_infinity"], epot_vanishes,
-    )
+    propositions = check_propositions(energy, momentum_term, label, growth, epot_vanishes)
 
     return ClassificationReport(
         label=label,

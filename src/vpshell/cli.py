@@ -16,7 +16,15 @@ import numpy as np
 
 from . import kurth as kurth_mod
 from .classify import classify as _classify
-from .config import _DEFAULTS, _SCHEMA, RunConfig, _parse_float, _validated, load_config
+from .config import (
+    _DEFAULTS,
+    _SCHEMA,
+    RunConfig,
+    _parse_float,
+    _parse_int,
+    _validated,
+    load_config,
+)
 from .csvio import (
     _fmt,
     normalised,
@@ -37,15 +45,6 @@ from .scenarios import (
 )
 
 __all__ = ["main", "cmd_run", "cmd_kurth", "cmd_classify", "cmd_sweep"]
-
-
-def _parse_int(text):
-    """An integral finite number as an int: `100`, `1e3` and `100.0`
-    pass, `100.7` does not."""
-    value = _parse_float(text)
-    if not value.is_integer():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(value)
 
 
 def _cast(name, caster, value):
@@ -116,7 +115,7 @@ def _run(config, out_dir, seed=None):
         # the simulator's record times, so a table and a run share their rows
         times = np.array(_record_times(0.0, config["t_end"], config["output_cadence"]))
         phi, phi_dot = kurth_mod.phi_closed_form(times, config["kurth.k"])
-        table = kurth_mod._table(times, phi, phi_dot, q_list, r_grid)
+        table = kurth_mod.kurth_diagnostics(times, phi, phi_dot, q_list, r_grid)
         command, snapshots, extra = "kurth", (), None
     else:
         ensemble, scenario_report = _build_scenario(config, seed)
@@ -213,13 +212,12 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     caster = _SCHEMA.get(param)
     if caster is None:
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    if caster not in (int, _parse_float):
+    if caster not in (_parse_int, _parse_float):
         raise ConfigError(f"sweep parameter {param!r} is not scalar")
-    parse = _parse_int if caster is int else _parse_float
     jobs = []
     for i, value in enumerate(values):
         run_dir = os.path.join(out_dir, f"run_{i:03d}")
-        value = _cast(param, parse, value)
+        value = _cast(param, caster, value)
         jobs.append((dict(config.values), param, value, run_dir))
     os.makedirs(out_dir, exist_ok=True)
 

@@ -32,6 +32,17 @@ def _parse_float(text):
     return value
 
 
+def _parse_int(text):
+    """An integral finite number as an int: `100`, `1e3` and `100.0`
+    pass, `100.7` does not.  A plain digit string keeps every digit."""
+    if isinstance(text, str) and text.strip().isdecimal():
+        return int(text)
+    value = _parse_float(text)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
+
+
 def _parse_float_list(text):
     text = text.strip()
     if not text:
@@ -41,7 +52,7 @@ def _parse_float_list(text):
 
 _SCHEMA = {
     "scenario": str,
-    "seed": int,
+    "seed": _parse_int,
     "t_end": _parse_float,
     "output_cadence": _parse_float,
     "dt_initial": _parse_float,
@@ -49,7 +60,7 @@ _SCHEMA = {
     "reflection": _parse_bool,
     "r_grid": _parse_float_list,
     "q_list": _parse_float_list,
-    "n_bins": int,
+    "n_bins": _parse_int,
     "snapshot_times": _parse_float_list,
     "shell.mass": _parse_float,
     "shell.r_inner": _parse_float,
@@ -58,10 +69,10 @@ _SCHEMA = {
     "shell.w_max": _parse_float,
     "shell.ell_min": _parse_float,
     "shell.ell_max": _parse_float,
-    "shell.n": int,
+    "shell.n": _parse_int,
     "core.mass": _parse_float,
     "core.radius": _parse_float,
-    "core.n": int,
+    "core.n": _parse_int,
     "kurth.k": _parse_float,
 }
 

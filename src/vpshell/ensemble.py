@@ -162,12 +162,13 @@ class RadialDensityProfile:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One time sample of every conserved or monitored quantity.
+    """One time sample of every conserved or monitored quantity, as the
+    simulator records it (the Kurth table is built as columns, with no
+    record).
 
-    `energy_kinetic` and `energy_potential` are None for analytic
-    sources that do not define the split; `energy_total` is always set
-    and, when the split is present, equals kinetic - potential exactly
-    as computed.
+    A None cell (`energy_kinetic`, `energy_potential`, the moments) is
+    written empty; `energy_total` is always set and, when the split is
+    present, equals kinetic - potential exactly as computed.
     """
 
     time: float

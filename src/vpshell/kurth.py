@@ -18,6 +18,10 @@ The sign of I sorts the family: k = 0 is a static ball, 0 < |k| < 1
 is a breathing (time periodic) ball, |k| >= 1 expands without bound
 and the density tends to zero in every L^q with q > 1.
 
+`phi_closed_form(t, k)` gives phi and phi' for any finite k, and
+`kurth_diagnostics` builds the family's table from those arrays; the
+leapfrog `integrate_phi` is the ODE oracle for the closed form.
+
 Closed-form evaluation uses the conic-orbit parametrisations.  Each
 implicit equation below has a strictly monotone left-hand side, so a
 safeguarded Newton iteration converges unconditionally.
@@ -56,20 +60,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import ParsedRun
-from .ensemble import DiagnosticsRecord
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "KurthParams",
-    "KurthState",
     "KurthTrajectory",
     "kurth_energy",
     "first_integral",
     "classify_k",
     "integrate_phi",
-    "phi_parabolic",
-    "phi_hyperbolic",
-    "phi_elliptic",
     "phi_closed_form",
     "kurth_period",
     "kurth_variance",
@@ -82,47 +80,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KurthParams:
-    """Initial dilation velocity phi'(0), the family's only parameter."""
-
-    k: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise DomainError("k must be finite")
-
-    @property
-    def energy(self):
-        return kurth_energy(self.k)
-
-    @property
-    def regime(self):
-        return classify_k(self.k)
-
-
-@dataclass(frozen=True)
-class KurthState:
-    """Dilation radius and its rate at one time."""
-
-    t: float
-    phi: float
-    phi_dot: float
-
-    def __post_init__(self):
-        if self.phi <= 0.0:
-            raise DomainError("phi must be positive")
-
-
-@dataclass(frozen=True)
 class KurthTrajectory:
     """Sampled (t, phi, phi') arrays from one integration."""
 
     t: np.ndarray
     phi: np.ndarray
     phi_dot: np.ndarray
-
-    def state(self, i):
-        return KurthState(float(self.t[i]), float(self.phi[i]), float(self.phi_dot[i]))
 
 
 def kurth_energy(k):
@@ -223,16 +186,8 @@ def _solve_monotone(f, fprime, lo, hi, x0, tol=1.0e-12, max_iter=120):
     return x
 
 
-def _scalar_or_array(t, values):
-    """`values` as a float for a scalar time t, else as an array."""
-    return float(values[0]) if np.ndim(t) == 0 else values
-
-
 def _parabolic_state(t, k):
-    if abs(k) != 1.0:
-        raise DomainError("parabolic branch requires |k| = 1")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    s = 2.0 * t_arr + (4.0 / 3.0) * k
+    s = 2.0 * t + (4.0 / 3.0) * k
     bound = np.cbrt(3.0 * np.abs(s)) + 2.0
     v = _solve_monotone(
         lambda v: v + v**3 / 3.0 - s,
@@ -249,25 +204,12 @@ def _parabolic_state(t, k):
     return phi, v / phi
 
 
-def phi_parabolic(t, k=1.0):
-    """Closed-form phi for |k| = 1 via the cubic for v(t).
-
-    Solves v + v^3/3 = 2 t + (4/3) k and returns (1 + v^2)/2.  The
-    left side is strictly increasing, so the root is unique; for large
-    t the cubic term dominates and phi ~ O(t^(2/3)).
-    """
-    return _scalar_or_array(t, _parabolic_state(t, k)[0])
-
-
 def _hyperbolic_state(t, k):
     a = abs(float(k))
-    if a <= 1.0:
-        raise DomainError("hyperbolic branch requires |k| > 1")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     rate = (a * a - 1.0) ** 1.5
     v0 = math.copysign(math.acosh(a), k)
     t0 = -(a * math.sinh(v0) - v0) / rate
-    s = rate * (t_arr - t0)
+    s = rate * (t - t0)
 
     def g(v):
         return a * np.sinh(v) - v - s
@@ -290,29 +232,16 @@ def _hyperbolic_state(t, k):
     return phi, phi_dot
 
 
-def phi_hyperbolic(t, k):
-    """Closed-form phi for |k| > 1 via the sinh relation for v(t).
-
-    Solves a sinh v - v = (a^2 - 1)**1.5 (t - t0) with a = |k|;
-    v(0) = sign(k) arccosh(a) and t0 follow from phi(0) = 1.  phi is
-    (a cosh v - 1)/(a^2 - 1); asymptotically |v| ~ O(log t) and
-    phi ~ O(t).
-    """
-    return _scalar_or_array(t, _hyperbolic_state(t, k)[0])
-
-
 def _elliptic_state(t, k):
     kk = float(k)
-    if not 0.0 < abs(kk) < 1.0:
-        raise DomainError("elliptic branch requires 0 < |k| < 1")
     one_m = 1.0 - kk * kk
     A = 1.0 / one_m
     B = abs(kk) / one_m
     C = math.sqrt(one_m)
     theta0 = math.copysign(math.acos(abs(kk)), kk)
     tau0 = A * theta0 - B * math.sin(theta0)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    tau = tau0 + C * t_arr
+    tau = tau0 + C * t
+    # the slope A - B cos(theta) >= phi_min > 0 makes this bracket exact
     theta = _solve_monotone(
         lambda th: A * th - B * np.sin(th) - tau,
         lambda th: A - B * np.cos(th),
@@ -325,19 +254,11 @@ def _elliptic_state(t, k):
     return phi, phi_dot
 
 
-def phi_elliptic(t, k):
-    """Closed-form phi for 0 < |k| < 1 via the Kepler-type relation.
-
-    phi = A - B cos(theta) with A theta - B sin(theta) advancing
-    linearly in time; the left side has slope A - B cos(theta) >=
-    phi_min > 0, so Newton with the exact bracket
-    [(tau - B)/A, (tau + B)/A] is safe.
-    """
-    return _scalar_or_array(t, _elliptic_state(t, k)[0])
-
-
 def phi_closed_form(t, k):
-    """(phi, phi') arrays at times t for any k, by branch dispatch."""
+    """(phi, phi') arrays at times t (a scalar gives one-element arrays)
+    for any finite k, by branch dispatch."""
+    if not math.isfinite(k):
+        raise DomainError("k must be finite")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if k == 0.0:
         return np.ones_like(t_arr), np.zeros_like(t_arr)
@@ -393,7 +314,7 @@ def kurth_concentration(phi, R):
     return np.minimum((R / phi) ** 3, 1.0)
 
 
-def kinetic_scaled(state: KurthState):
+def kinetic_scaled(phi, phi_dot):
     """Kinetic part of the first integral: (3/5)(phi'^2 + phi^-2).
 
     Together with `potential_scaled` this is the unique split with
@@ -402,18 +323,24 @@ def kinetic_scaled(state: KurthState):
     onto the simulator-unit split of a sampled ball through one common
     scale factor.
     """
-    return 0.6 * (state.phi_dot**2 + state.phi**-2)
+    phi = np.asarray(phi, dtype=np.float64)
+    return 0.6 * (np.square(phi_dot) + phi**-2)
 
 
-def potential_scaled(state: KurthState):
+def potential_scaled(phi):
     """Potential part of the first integral: (6/5)/phi."""
-    return 1.2 / state.phi
+    return 1.2 / np.asarray(phi, dtype=np.float64)
 
 
-def _table(t, phi, phi_dot, q_list, r_grid):
-    """The family's diagnostics table at times t from arrays of phi and
-    phi'.  Each quantity is evaluated once over the arrays; the
-    simulator-only columns are None."""
+def kurth_diagnostics(t, phi, phi_dot, q_list=(), r_grid=()):
+    """The family's diagnostics table (a `csvio.ParsedRun`) at times t
+    from arrays of phi and phi', each column evaluated once.
+
+    Emits mass = 1, the variance, density norms, support radii and the
+    first integral as the energy.  The kinetic/potential split and the
+    other simulator-only columns are None: the split's normalisation is
+    not that of the simulator (see the module docstring).
+    """
     zeros = np.zeros_like(phi)
     return ParsedRun(
         times=t, energy=first_integral(phi, phi_dot), energy_kinetic=None,
@@ -422,24 +349,4 @@ def _table(t, phi, phi_dot, q_list, r_grid):
         inner_radius_shell=zeros,
         conc={float(R): kurth_concentration(phi, float(R)) for R in r_grid},
         lq={float(q): kurth_lq_norm(phi, q) for q in q_list},
-    )
-
-
-def kurth_diagnostics(state: KurthState, q_list=(), r_grid=()):
-    """Analytic DiagnosticsRecord for one state of the family.
-
-    Emits mass = 1, the variance, density norms, support radii and the
-    first integral as the energy.  The kinetic/potential split is left
-    empty: its absolute normalisation is not that of the simulator (see
-    the module docstring), so only scale-free quantities are reported.
-    """
-    t, phi, phi_dot = np.array([[state.t], [state.phi], [state.phi_dot]], float)
-    row = _table(t, phi, phi_dot, q_list, r_grid)
-    return DiagnosticsRecord(
-        time=float(t[0]), energy_total=float(row.energy[0]), energy_kinetic=None,
-        energy_potential=None, mass=1.0, variance=float(row.variance[0]),
-        dilation_moment=None, conformal_moment=None, inner_radius=0.0,
-        outer_radius=float(phi[0]), inner_radius_shell=0.0,
-        concentration=tuple((float(R), float(row.conc[float(R)][0])) for R in r_grid),
-        lq_norms=tuple((float(q), float(row.lq[float(q)][0])) for q in q_list),
     )

@@ -151,38 +151,34 @@ class TestCheckPropositions:
         return {c.name: c.status for c in checks}[name]
 
     def test_dispersive_label_requires_energy_above_threshold(self):
-        checks = check_propositions(0.5, 0.0, 1.0, "strongly-dispersive",
-                                    None, 0.0, True)
+        checks = check_propositions(0.5, 0.0, "strongly-dispersive", None, True)
         assert self.status(checks, "necessary-energy") == "pass"
-        bad = check_propositions(-0.5, 0.0, 1.0, "totally-dispersive",
-                                 None, 0.0, True)
+        bad = check_propositions(-0.5, 0.0, "totally-dispersive", None, True)
         assert self.status(bad, "necessary-energy") == "fail"
 
     def test_variance_growth_check(self):
         from vpshell.classify import GrowthFit
 
         good = GrowthFit(1.95, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(0.5, 0.0, 1.0, "strongly-dispersive", good, 0.0, True)
+        checks = check_propositions(0.5, 0.0, "strongly-dispersive", good, True)
         assert self.status(checks, "variance-growth") == "pass"
         slow = GrowthFit(1.3, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(0.5, 0.0, 1.0, "strongly-dispersive", slow, 0.0, True)
+        checks = check_propositions(0.5, 0.0, "strongly-dispersive", slow, True)
         assert self.status(checks, "variance-growth") == "fail"
         # E = Q^2/2M exactly: the t^2 bound does not apply
-        checks = check_propositions(0.0, 0.0, 1.0, "strongly-dispersive", slow, 0.0, True)
+        checks = check_propositions(0.0, 0.0, "strongly-dispersive", slow, True)
         assert self.status(checks, "variance-growth") == "not-applicable"
 
     def test_field_energy_equivalence(self):
-        checks = check_propositions(0.5, 0.0, 1.0, "partially-dispersive",
-                                    None, 0.5, False)
+        checks = check_propositions(0.5, 0.0, "partially-dispersive", None, False)
         assert self.status(checks, "field-energy-equivalence") == "pass"
-        bad = check_propositions(0.5, 0.0, 1.0, "partially-dispersive",
-                                 None, 0.5, True)
+        bad = check_propositions(0.5, 0.0, "partially-dispersive", None, True)
         assert self.status(bad, "field-energy-equivalence") == "fail"
 
     def test_steady_needs_negative_energy(self):
-        ok = check_propositions(-0.1, 0.0, 1.0, "steady", None, 1.0, False)
+        ok = check_propositions(-0.1, 0.0, "steady", None, False)
         assert self.status(ok, "steady-energy") == "pass"
-        bad = check_propositions(0.1, 0.0, 1.0, "steady", None, 1.0, False)
+        bad = check_propositions(0.1, 0.0, "steady", None, False)
         assert self.status(bad, "steady-energy") == "fail"
 
 

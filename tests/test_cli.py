@@ -10,7 +10,6 @@ from vpshell.dynamics import IntegratorConfig, run
 from vpshell.ensemble import Ensemble, ShellParticle
 from vpshell.errors import ClassifyInputError, ConfigError, DomainError
 from vpshell.kurth import (
-    KurthState,
     first_integral,
     kurth_diagnostics,
     kurth_lq_norm,
@@ -91,6 +90,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="finite") as err:
             parse_config("\n".join(lines))
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["1e3", "100.0"])
+    def test_integer_key_accepts_integral_number(self, value):
+        text = SHELL_CFG.format(t_end=1.0).replace("shell.n = 400", f"shell.n = {value}")
+        cfg = parse_config(text)
+        assert cfg["shell.n"] == float(value)
+        assert type(cfg["shell.n"]) is int
+
+    def test_integer_key_refuses_fraction_with_line(self):
+        text = SHELL_CFG.format(t_end=1.0).replace("shell.n = 400", "shell.n = 100.7")
+        with pytest.raises(ConfigError, match="not an integer") as err:
+            parse_config(text)
+        assert err.value.line == text.splitlines().index("shell.n = 100.7") + 1
+
+    def test_integer_literal_keeps_every_digit(self):
+        cfg = parse_config(KURTH_CFG + "seed = 12345678901234567891\n")
+        assert cfg["seed"] == 12345678901234567891
 
     def test_comments_and_defaults(self):
         cfg = parse_config(KURTH_CFG)
@@ -227,19 +243,20 @@ class TestKurthCommand:
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.5, -2.5])
     def test_rows_equal_single_state_records(self, k, tmp_path):
-        # the table is built over arrays; each row must be the record of
-        # its own state, and E, var_x, R2 and lq_ the scalar formulas
+        # the table is built over arrays; each row must be the table of
+        # its own single time, and E, var_x, R2 and lq_ the scalar formulas
         q_list, r_grid = (5.0 / 3.0, 3.0), (1.0, 2.0, 4.0, 8.0)
         csv = cmd_kurth(k, 60.0, 0.1, q_list, str(tmp_path), r_grid)
         times = read_diagnostics(csv).times
         phi, phi_dot = phi_closed_form(times, k)
-        records = [
-            kurth_diagnostics(KurthState(t, p, pd), q_list=q_list, r_grid=r_grid)
-            for t, p, pd in zip(times.tolist(), phi.tolist(), phi_dot.tolist())
-        ]
         again = tmp_path / "again.csv"
-        write_diagnostics(str(again), records, r_grid, q_list)
-        assert again.read_bytes() == open(csv, "rb").read()
+        lines = [diagnostics_header(r_grid, q_list)]
+        for i in range(times.size):
+            single = kurth_diagnostics(times[i : i + 1], phi[i : i + 1], phi_dot[i : i + 1],
+                                       q_list=q_list, r_grid=r_grid)
+            write_diagnostics(str(again), single, r_grid, q_list)
+            lines.append(again.read_text().splitlines()[1])
+        assert "\n".join(lines).encode() + b"\n" == open(csv, "rb").read()
 
         rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
         for row, p, pd in zip(rows, phi.tolist(), phi_dot.tolist()):

@@ -117,12 +117,6 @@ class TestContainerValidation:
         with pytest.raises(DomainError):
             RadialDensityProfile([0.0, 1.0], [-1.0])
 
-    def test_kurth_state_requires_positive_radius(self):
-        from vpshell import KurthState
-
-        with pytest.raises(DomainError):
-            KurthState(0.0, 0.0, 1.0)
-
     def test_ensemble_arrays_read_only(self):
         e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from vpshell import DomainError
 from vpshell.kurth import (
-    KurthState,
     classify_k,
     first_integral,
     integrate_phi,
@@ -14,11 +13,13 @@ from vpshell.kurth import (
     kurth_energy,
     kurth_period,
     phi_closed_form,
-    phi_elliptic,
-    phi_hyperbolic,
-    phi_parabolic,
     potential_scaled,
 )
+
+
+def one(*values):
+    """One-element float arrays, one per value."""
+    return [np.array([value], dtype=np.float64) for value in values]
 
 
 def drift_rate(traj, k):
@@ -45,12 +46,12 @@ class TestEnergy:
         # kinetic - potential reproduces the first integral exactly and
         # the static member satisfies the virial relation E = -kinetic
         for k in (0.0, 0.5, 1.0, 1.5):
-            s = KurthState(0.0, 1.0, k)
-            assert kinetic_scaled(s) - potential_scaled(s) == pytest.approx(
+            phi, phi_dot = one(1.0, k)
+            assert kinetic_scaled(phi, phi_dot) - potential_scaled(phi) == pytest.approx(
                 kurth_energy(k), abs=1e-14
             )
-        static = KurthState(0.0, 1.0, 0.0)
-        assert kinetic_scaled(static) == pytest.approx(-kurth_energy(0.0))
+        phi, phi_dot = one(1.0, 0.0)
+        assert kinetic_scaled(phi, phi_dot) == pytest.approx(-kurth_energy(0.0))
 
     def test_scaled_split_maps_to_simulator_units(self):
         # one factor of 8 pi relates the family's normalisation to the
@@ -59,13 +60,13 @@ class TestEnergy:
         import vpshell as vp
 
         ball = vp.build_circular_core(vp.CoreSpec(mass=1.0, radius=1.0, n=20_000, seed=3))
-        static = KurthState(0.0, 1.0, 0.0)
+        phi, phi_dot = one(1.0, 0.0)
         scale = 8.0 * math.pi
         assert vp.kinetic_energy(ball) == pytest.approx(
-            kinetic_scaled(static) / scale, rel=1e-2
+            kinetic_scaled(phi, phi_dot) / scale, rel=1e-2
         )
         assert vp.potential_energy(ball) == pytest.approx(
-            potential_scaled(static) / scale, rel=1e-2
+            potential_scaled(phi) / scale, rel=1e-2
         )
 
 
@@ -75,15 +76,6 @@ class TestClassifyK:
         assert classify_k(0.5) == "periodic"
         assert classify_k(-1.2) == "dispersive"
         assert classify_k(1.0) == "dispersive"
-
-    def test_params_wrapper(self):
-        from vpshell.kurth import KurthParams
-
-        p = KurthParams(0.5)
-        assert p.regime == "periodic"
-        assert p.energy == pytest.approx(-0.45)
-        with pytest.raises(DomainError):
-            KurthParams(float("inf"))
 
 
 class TestIntegratePhi:
@@ -101,7 +93,7 @@ class TestIntegratePhi:
 
     def test_parabolic_value_at_t10(self):
         traj = integrate_phi(1.0, 10.0)
-        assert traj.phi[-1] == pytest.approx(phi_parabolic(10.0), abs=1e-3)
+        assert traj.phi[-1] == pytest.approx(phi_closed_form(10.0, 1.0)[0][0], abs=1e-3)
 
     def test_first_integral_drift(self):
         for k in (0.0, 0.5, 1.0, 1.5):
@@ -123,7 +115,7 @@ class TestIntegratePhi:
 
 class TestParabolic:
     def test_initial_condition(self):
-        assert phi_parabolic(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert phi_closed_form(0.0, 1.0)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         # solve v + v^3/3 = 2 (t + 2/3) by plain bisection
@@ -139,18 +131,18 @@ class TestParabolic:
         v = 0.5 * (lo + hi)
         expected = 0.5 * (1.0 + v * v)
         assert expected == pytest.approx(7.532546628658921, rel=1e-12)
-        assert phi_parabolic(10.0) == pytest.approx(expected, rel=1e-10)
+        assert phi_closed_form(10.0, 1.0)[0][0] == pytest.approx(expected, rel=1e-10)
 
     def test_two_thirds_power_growth(self):
         t = np.logspace(2, 4, 200)
-        slope = np.polyfit(np.log(t), np.log(phi_parabolic(t)), 1)[0]
+        slope = np.polyfit(np.log(t), np.log(phi_closed_form(t, 1.0)[0]), 1)[0]
         assert slope == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
 class TestHyperbolic:
     def test_initial_condition_forced(self):
         for k in (1.5, 2.0, 4.0, -2.0):
-            assert phi_hyperbolic(0.0, k) == pytest.approx(1.0, abs=5e-12)
+            assert phi_closed_form(0.0, k)[0][0] == pytest.approx(1.0, abs=5e-12)
 
     def test_branch_constants_k2(self):
         # v(0) = arccosh 2 and the t=0 value of the implicit relation
@@ -160,7 +152,7 @@ class TestHyperbolic:
 
     def test_linear_growth(self):
         t = np.logspace(2, 4, 200)
-        slope = np.polyfit(np.log(t), np.log(phi_hyperbolic(t, 1.5)), 1)[0]
+        slope = np.polyfit(np.log(t), np.log(phi_closed_form(t, 1.5)[0]), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.02)
 
     def test_satisfies_first_integral(self):
@@ -170,15 +162,11 @@ class TestHyperbolic:
             I = first_integral(phi, phi_dot)
             assert np.max(np.abs(I - kurth_energy(k))) < 1e-9
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            phi_hyperbolic(1.0, 0.5)
-
 
 class TestElliptic:
     def test_initial_condition(self):
         for k in (0.3, 0.5, 0.9, -0.5):
-            assert phi_elliptic(0.0, k) == pytest.approx(1.0, abs=1e-12)
+            assert phi_closed_form(0.0, k)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_satisfies_first_integral(self):
         for k in (0.3, 0.5, 0.9, -0.7):
@@ -194,42 +182,17 @@ class TestElliptic:
         assert np.allclose(phi_dot, 0.5, atol=1e-10)
 
 
-BRANCHES = [
-    pytest.param(phi_elliptic, 0.5, id="elliptic-0.5"),
-    pytest.param(phi_elliptic, -0.9, id="elliptic--0.9"),
-    pytest.param(phi_parabolic, 1.0, id="parabolic-1"),
-    pytest.param(phi_parabolic, -1.0, id="parabolic--1"),
-    pytest.param(phi_hyperbolic, 1.5, id="hyperbolic-1.5"),
-    pytest.param(phi_hyperbolic, -3.0, id="hyperbolic--3"),
-]
-
-
-class TestBranchFunctions:
-    @pytest.mark.parametrize(("phi_branch", "k"), BRANCHES)
-    def test_array_equals_closed_form_bitwise(self, phi_branch, k):
-        t = np.arange(401) * 0.5
-        assert np.array_equal(phi_branch(t, k), phi_closed_form(t, k)[0])
-
-    @pytest.mark.parametrize(("phi_branch", "k"), BRANCHES)
-    def test_scalar_time_gives_float(self, phi_branch, k):
-        for t in (0.0, 3, np.float64(7.25), np.array(7.25)):
-            value = phi_branch(t, k)
-            assert type(value) is float
-            assert value == phi_closed_form(t, k)[0][0]
-
-    def test_branch_domain_errors(self):
-        for phi_branch, k in ((phi_elliptic, 1.0), (phi_elliptic, 0.0),
-                              (phi_parabolic, 0.5), (phi_hyperbolic, -1.0)):
-            with pytest.raises(DomainError):
-                phi_branch(1.0, k)
-
-
 class TestClosedFormAgainstOde:
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0])
     def test_agreement(self, k):
         traj = integrate_phi(k, 30.0)
         phi, _ = phi_closed_form(traj.t, k)
         assert np.max(np.abs(traj.phi - phi) / phi) < 1e-6
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_refused(self, k):
+        with pytest.raises(DomainError):
+            phi_closed_form(np.array([0.0, 1.0]), k)
 
 
 class TestPeriod:
@@ -256,17 +219,17 @@ class TestPeriod:
 
 class TestDiagnostics:
     def test_norm_equals_mass_at_q1(self):
-        rec = kurth_diagnostics(KurthState(0.0, 1.0, 0.0), q_list=(1.0,))
-        assert rec.lq_norms[0][1] == pytest.approx(1.0)
-        assert rec.mass == 1.0
+        rec = kurth_diagnostics(*one(0.0, 1.0, 0.0), q_list=(1.0,))
+        assert rec.lq[1.0][0] == pytest.approx(1.0)
+        assert rec.mass[0] == 1.0
 
     def test_variance_value(self):
-        rec = kurth_diagnostics(KurthState(0.0, 1.0, 0.5))
-        assert rec.variance == pytest.approx(0.6)
+        rec = kurth_diagnostics(*one(0.0, 1.0, 0.5))
+        assert rec.variance[0] == pytest.approx(0.6)
 
     def test_lq_closed_form_phi2(self):
-        rec = kurth_diagnostics(KurthState(1.0, 2.0, 0.0), q_list=(5.0 / 3.0,))
-        assert rec.lq_norms[0][1] == pytest.approx(0.24543051658062925, rel=1e-12)
+        rec = kurth_diagnostics(*one(1.0, 2.0, 0.0), q_list=(5.0 / 3.0,))
+        assert rec.lq[5.0 / 3.0][0] == pytest.approx(0.24543051658062925, rel=1e-12)
 
     def test_norms_vanish_along_dispersal(self):
         t = np.linspace(0.0, 400.0, 400)
@@ -278,12 +241,12 @@ class TestDiagnostics:
         assert np.all(np.diff(norms) < 0.0)
 
     def test_split_not_emitted(self):
-        rec = kurth_diagnostics(KurthState(0.0, 1.0, 1.0))
+        rec = kurth_diagnostics(*one(0.0, 1.0, 1.0))
         assert rec.energy_kinetic is None
         assert rec.energy_potential is None
-        assert rec.energy_total == pytest.approx(0.0, abs=1e-15)
+        assert rec.energy[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_concentration_analytic(self):
-        rec = kurth_diagnostics(KurthState(0.0, 2.0, 0.0), r_grid=(1.0, 4.0))
-        assert rec.concentration[0][1] == pytest.approx(0.125)
-        assert rec.concentration[1][1] == 1.0
+        rec = kurth_diagnostics(*one(0.0, 2.0, 0.0), r_grid=(1.0, 4.0))
+        assert rec.conc[1.0][0] == pytest.approx(0.125)
+        assert rec.conc[4.0][0] == 1.0
