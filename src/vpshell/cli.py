@@ -218,6 +218,8 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     for i, value in enumerate(values):
         run_dir = os.path.join(out_dir, f"run_{i:03d}")
         value = _cast(param, caster, value)
+        if param == "seed" and value < 0:
+            raise ConfigError("seed: must be >= 0")
         jobs.append((dict(config.values), param, value, run_dir))
     os.makedirs(out_dir, exist_ok=True)
 
@@ -297,10 +299,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             config = load_config(args.config)
             if args.seed is not None:
-                config = config.replace(seed=args.seed)
+                config = _validated(config.replace(seed=args.seed).values)
+        if args.command == "run":
             cmd_run(config, args.out, threads=args.threads)
         elif args.command == "kurth":
             cmd_kurth(args.k, args.t_end, args.cadence, args.q_list.split(","),
@@ -311,9 +314,6 @@ def main(argv=None):
             )
             print(report.label)
         elif args.command == "sweep":
-            config = load_config(args.config)
-            if args.seed is not None:
-                config = config.replace(seed=args.seed)
             values = args.values.split(",") if args.values else []
             cmd_sweep(config, args.param, values, args.out, threads=args.threads)
     except (ConfigError, DomainError) as exc:

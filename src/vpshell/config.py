@@ -173,6 +173,8 @@ def _validated(values, lines=None):
     def bad(key, message):
         return ConfigError(f"{key}: {message}", line=lines.get(key))
 
+    if values["seed"] < 0:
+        raise bad("seed", "must be >= 0")
     if values["t_end"] < 0.0:
         raise bad("t_end", "must be >= 0")
     if values["output_cadence"] <= 0.0:

@@ -50,22 +50,32 @@ def _selector(mask):
 
 
 def _sorted_mass_profile(r, mass):
-    """Radii and masses in increasing radius, the mass prefix sums and
-    the order that sorts them.
+    """Radii and masses in increasing radius, the mass prefix sums, the
+    order that sorts them and whether two sorted radii tie (or are NaN).
 
     Ties are broken by original index (stable sort); enclosed-mass
     queries use strict comparison, so coincident radii never see each
     other's mass.  `prefix[k]` is the mass of the first k shells.  This
     is the one argsort of radii in the package: the force kernel and
-    every diagnostic start from it.
+    every diagnostic start from it.  Scrambled radii (crossing shells)
+    take numpy's default SIMD argsort, nearly sorted ones (a static
+    core) the stable timsort, each the faster there; after a tie the
+    stable sort runs again, so the order is the stable one either way.
     """
-    order = np.argsort(r, kind="stable")
+    # 1/16: timed at N = 1e4-1e5, the default sort won past 1/50-1/10 descents
+    probe = r[::16]
+    scrambled = 16 * np.count_nonzero(probe[1:] < probe[:-1]) > probe.size
+    order = np.argsort(r, kind=None if scrambled else "stable")
     r_sorted = r[order]
+    tied = not np.all(r_sorted[1:] > r_sorted[:-1])
+    if tied and scrambled:
+        order = np.argsort(r, kind="stable")
+        r_sorted = r[order]
     m_sorted = mass[order]
     prefix = np.empty(m_sorted.size + 1)
     prefix[0] = 0.0
     np.cumsum(m_sorted, out=prefix[1:])
-    return r_sorted, m_sorted, prefix, order
+    return r_sorted, m_sorted, prefix, order, tied
 
 
 def _enclosed(r_sorted, prefix, radii):
@@ -85,7 +95,7 @@ def cumulative_mass(ensemble: Ensemble, r):
         raise DomainError("query radius must be finite")
     if np.any(r_arr < 0.0):
         raise DomainError("query radius must be >= 0")
-    r_sorted, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     out = _enclosed(r_sorted, prefix, r_arr)
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
@@ -112,7 +122,7 @@ def potential_energy(ensemble: Ensemble):
     shells.  The result is >= 0; a lone shell of mass M at radius r
     contributes exactly M^2 / (8 pi r).
     """
-    r_sorted, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     return _field_energy(r_sorted, prefix)
 
 
@@ -264,7 +274,7 @@ def concentration_function(ensemble: Ensemble, R, return_center=False):
     With `return_center` the best centre distance is returned alongside
     the mass.
     """
-    r, mass, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, mass, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R))
     return (best, best_d) if return_center else best
 
@@ -286,7 +296,7 @@ def build_radial_profile(ensemble: Ensemble, n_bins):
 
     The binned mass equals the total mass up to summation rounding.
     """
-    r, _, prefix, _ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
     return _radial_profile(r, prefix, n_bins)
 
 

@@ -6,14 +6,16 @@ Each shell obeys
 
 with M(<r) the mass strictly inside r (a shell feels no self-force).
 The integrator is kick-drift-kick leapfrog with one force evaluation
-per step.  The force takes the stable argsort and mass prefix of
+per step.  The force takes the argsort and mass prefix of
 `diagnostics._sorted_mass_profile` (the one sort of radii in the
-package), keeps the exclusive prefix (equal radii share the prefix of
-their first member, found by a linear scan) and scatters it back
-through the order; there is no binary search, the argsort is the only
-O(N log N) part, and the particle order is never changed.  Shell
-crossings inside a step are not sub-resolved; their effect vanishes
-with the step size and is covered by the energy drift gate in the tests.
+package: SIMD for scrambled radii, timsort for nearly sorted ones, the
+stable order either way), keeps the exclusive prefix (equal radii share
+the prefix of their first member, found by a linear scan after a tie)
+and scatters it back through the order; there is no binary search, the
+argsort is the only O(N log N) part, and the particle order is never
+changed.  Shell crossings inside a step are not sub-resolved; their
+effect vanishes with the step size and is covered by the energy drift
+gate in the tests.
 
 Purely radial shells (ell = 0) that drift through the centre are
 reflected: r -> |r|, w -> -w.  A centre crossing with ell > 0 means the
@@ -108,14 +110,13 @@ class TrajectorySink:
 
 def _raw_acceleration(r, ell, mass):
     """The acceleration and the (r_sorted, m_sorted, prefix) it sorted."""
-    r_sorted, _, prefix, order = profile = _sorted_mass_profile(r, mass)
+    r_sorted, _, prefix, order, tied = profile = _sorted_mass_profile(r, mass)
     # exclusive prefix in radius order: the mass of every earlier shell
     prefix = prefix[:-1]
-    tied = r_sorted[1:] == r_sorted[:-1]
-    if tied.any():
+    if tied:
         # equal radii take the prefix of their group's first member
         first = np.arange(r_sorted.size)
-        first[1:][tied] = 0
+        first[1:][r_sorted[1:] == r_sorted[:-1]] = 0
         np.maximum.accumulate(first, out=first)
         prefix = prefix[first]
     enclosed = np.empty_like(prefix)

@@ -67,8 +67,8 @@ class ShellSpec:
             raise DomainError("need w_min <= w_max")
         if not 0.0 <= self.ell_min <= self.ell_max:
             raise DomainError("need 0 <= ell_min <= ell_max")
-        if self.n < 1:
-            raise DomainError("need at least one particle")
+        if self.n < 1 or self.seed < 0:
+            raise DomainError("need at least one particle and a seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class CoreSpec:
             raise DomainError("core mass must be positive")
         if self.radius <= 0.0:
             raise DomainError("core radius must be positive")
-        if self.n < 1:
-            raise DomainError("need at least one particle")
+        if self.n < 1 or self.seed < 0:
+            raise DomainError("need at least one particle and a seed >= 0")
         if isinstance(self.profile, str):
             if self.profile != "uniform":
                 raise DomainError(f"unknown profile {self.profile!r}")

@@ -498,6 +498,33 @@ class TestMainExitCodes:
         path.write_text("nope\n")
         assert main(["classify", str(path)]) == 4
 
+    def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "neg.cfg"
+        path.write_text(SHELL_CFG.format(t_end=1.0).replace("seed = 42", "seed = -1"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed" in err and "line 3" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_exits_2(self, shell_cfg, tmp_path, capsys):
+        argv = ["run", "--config", shell_cfg, "--out", str(tmp_path / "o"), "--seed", "-3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed" in err
+
+    @pytest.mark.parametrize("flags", [["--param", "seed", "--values", "1,-1"],
+                                       ["--param", "shell.w_min", "--values", "0.5",
+                                        "--seed", "-1"]])
+    def test_negative_seed_sweep_exits_2(self, flags, tmp_path, capsys):
+        # refused before any member runs, not recorded as a `failed` member
+        path = tmp_path / "shell.cfg"
+        path.write_text(SHELL_CFG.format(t_end=1.0))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed" in err
+        assert not out.exists()
+
     def test_seed_override(self, shell_cfg, tmp_path):
         main(["run", "--config", shell_cfg, "--out", str(tmp_path / "o"), "--seed", "7"])
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())

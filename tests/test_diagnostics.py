@@ -19,6 +19,7 @@ from vpshell import (
     potential_energy,
     statistical_dispersion,
 )
+from vpshell.diagnostics import _sorted_mass_profile
 from conftest import random_ensemble
 
 
@@ -469,3 +470,104 @@ class TestGalileanShift:
     def test_mass_domain_error(self):
         with pytest.raises(DomainError):
             galilean_shift(1.0, (0, 0, 0), 0.0, (1, 0, 0))
+
+
+def stable_sorted_mass_profile(r, mass):
+    """Oracle of `_sorted_mass_profile`: one stable argsort, whatever
+    the order of the radii."""
+    order = np.argsort(r, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
+    return r[order], mass[order], prefix, order
+
+
+def radii_in_order(rng, n, kind, ties):
+    r = np.sort(rng.uniform(0.5, 3.0, n))
+    if ties and n > 1:
+        # radii copied onto their neighbours before the shuffle; the
+        # copies carry different masses
+        first = rng.integers(0, n - 1, size=max(n // 10, 1))
+        r[first + 1] = r[first]
+    if kind == "reversed":
+        r = r[::-1].copy()
+    elif kind == "nearly sorted":
+        # neighbours swapped here and there, as in a static core
+        swap = 2 * rng.choice(max(n // 2 - 1, 1), size=n // 50, replace=False)
+        r[swap], r[swap + 1] = r[swap + 1], r[swap].copy()
+    elif kind == "scrambled":
+        r = rng.permutation(r)
+    elif kind == "scrambled tail":
+        # a sorted core and a third of the shells crossing each other
+        tail = n - n // 3
+        r[tail:] = rng.permutation(r[tail:])
+    return r
+
+
+ORDERS = ("sorted", "reversed", "nearly sorted", "scrambled", "scrambled tail")
+
+
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The `kind` of every np.argsort call made while the test runs."""
+    kinds = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind))
+    return kinds
+
+
+class TestSortedMassProfile:
+    """The profile picks its argsort by how scrambled the radii are;
+    the result must be the stable sort's, bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("kind", ORDERS)
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33, 1000, 10000])
+    def test_equals_stable_oracle(self, n, kind, ties):
+        rng = np.random.default_rng([n, ORDERS.index(kind), ties])
+        r = radii_in_order(rng, n, kind, ties)
+        mass = rng.uniform(0.1, 1.0, n)
+        *got, tied = _sorted_mass_profile(r, mass)
+        want = stable_sorted_mass_profile(r, mass)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert tied == bool(np.any(want[0][1:] == want[0][:-1]))
+
+    @pytest.mark.parametrize("kind, n, calls", [
+        ("nearly sorted", 10000, ["stable"]),
+        ("scrambled tail", 10000, [None]),
+        ("scrambled", 1000, [None]),
+        ("scrambled", 15, ["stable"]),  # a one-element probe reads sorted
+    ])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_branch_taken(self, kind, n, calls, ties, argsort_kinds):
+        # both branches are exercised by the oracle test above, and a tie
+        # on the default branch sorts again with the stable sort
+        rng = np.random.default_rng(7)
+        _sorted_mass_profile(radii_in_order(rng, n, kind, ties), np.ones(n))
+        assert argsort_kinds == (calls + ["stable"] if ties and calls == [None] else calls)
+
+    def test_scrambled_run_equals_stable_run(self, argsort_kinds, monkeypatch):
+        # an escaping shell scrambles its radii within a few steps; the
+        # records must not depend on which argsort ordered them
+        import dataclasses
+
+        import vpshell.dynamics as dynamics
+        from vpshell import IntegratorConfig, ShellSpec, build_shell
+
+        e, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=0.5,
+                                     w_max=0.6, n=2000, seed=3))
+        config = IntegratorConfig(t_end=3.0, output_cadence=0.5)
+
+        def records():
+            sink = dynamics.run(e, config, r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,))
+            return [dataclasses.astuple(rec) for rec in sink.records]
+
+        chosen = records()
+        assert None in argsort_kinds  # the default argsort ordered some steps
+
+        def stable_profile(r, mass):
+            r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, mass)
+            return r_sorted, m_sorted, prefix, order, bool(np.any(r_sorted[1:] == r_sorted[:-1]))
+
+        monkeypatch.setattr(dynamics, "_sorted_mass_profile", stable_profile)
+        assert chosen == records()

@@ -109,6 +109,14 @@ class TestBuildCircularCore:
         with pytest.raises(DomainError, match="finite"):
             CoreSpec(**values)
 
+    def test_negative_seed_rejected(self):
+        # Philox takes only non-negative seeds; refuse with a DomainError first
+        with pytest.raises(DomainError, match="seed"):
+            CoreSpec(mass=1.0, radius=1.0, n=10, seed=-1)
+        with pytest.raises(DomainError, match="seed"):
+            ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.5, w_min=0.1, w_max=0.2, n=10,
+                      seed=-1)
+
 
 class TestShellPlusCore:
     def make(self, m=0.2, w_min=0.42, w_max=0.48, n_core=20_000, n_shell=5_000):
