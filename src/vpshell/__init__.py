@@ -29,7 +29,7 @@ from .diagnostics import (
     total_energy,
 )
 from .dynamics import IntegratorConfig, TrajectorySink, acceleration, adaptive_dt, run, step
-from .ensemble import DiagnosticsRecord, Ensemble, RadialDensityProfile, ShellParticle
+from .ensemble import DiagnosticsRecord, Ensemble, RadialDensityProfile
 from .errors import (
     ClassifyInputError,
     ConfigError,

@@ -193,11 +193,11 @@ def _trend(series: TimeSeries):
     return slope
 
 
-def strong_dispersion_test(series: TimeSeries, q, eps_frac=EPS_STRONG_FRAC):
+def strong_dispersion_test(series: TimeSeries, q):
     """Does the L^q norm series decay to zero?
 
     True when the trailing window trends downward and the final value
-    sits below eps_frac of the initial one.  Also fits the decay
+    sits below EPS_STRONG_FRAC of the initial one.  Also fits the decay
     exponent (None when the fit preconditions fail).
     """
     if q <= 1.0:
@@ -208,7 +208,7 @@ def strong_dispersion_test(series: TimeSeries, q, eps_frac=EPS_STRONG_FRAC):
     tail = series.trailing()
     decayed = (
         initial > 0.0
-        and series.values[-1] < eps_frac * initial
+        and series.values[-1] < EPS_STRONG_FRAC * initial
         and _trend(tail) <= 0.0
     )
     fit = growth_exponent(series)
@@ -216,15 +216,15 @@ def strong_dispersion_test(series: TimeSeries, q, eps_frac=EPS_STRONG_FRAC):
     return bool(decayed), rate
 
 
-def concentration_limits(times, conc_by_radius, total_mass, mass_tol=MASS_TOL_FRAC):
+def concentration_limits(times, conc_by_radius, total_mass):
     """Trailing-window estimates of the concentration limits M(R).
 
     `conc_by_radius` maps ball radius to the series of best-centred
     masses.  Each M(R) is the trailing average, flagged non-converged
-    when the trailing trend would move it by more than mass_tol * M
+    when the trailing trend would move it by more than MASS_TOL_FRAC * M
     over the window.  The limit at large R is the plateau of the two
     largest radii; the regime is "total" when it vanishes (below
-    mass_tol * M), "none" when it recovers the whole mass, "partial"
+    MASS_TOL_FRAC * M), "none" when it recovers the whole mass, "partial"
     in between, and None when the plateau has not converged.
     """
     radii = sorted(conc_by_radius)
@@ -238,7 +238,7 @@ def concentration_limits(times, conc_by_radius, total_mass, mass_tol=MASS_TOL_FR
         drift = abs(_trend(series)) * span
         per_radius[radius] = {
             "value": float(series.values.mean()),
-            "converged": bool(drift <= mass_tol * total_mass),
+            "converged": bool(drift <= MASS_TOL_FRAC * total_mass),
         }
     top = radii[-2:]
     top_vals = [per_radius[rad]["value"] for rad in top]
@@ -251,9 +251,9 @@ def concentration_limits(times, conc_by_radius, total_mass, mass_tol=MASS_TOL_FR
     band = abs(top_vals[1] - top_vals[0]) + 2.0 * float(
         np.std(TimeSeries(times, conc_by_radius[top[-1]]).trailing().values)
     )
-    if m_inf <= mass_tol * total_mass:
+    if m_inf <= MASS_TOL_FRAC * total_mass:
         regime = "total"
-    elif m_inf >= (1.0 - mass_tol) * total_mass:
+    elif m_inf >= (1.0 - MASS_TOL_FRAC) * total_mass:
         regime = "none"
     else:
         regime = "partial"
@@ -261,12 +261,12 @@ def concentration_limits(times, conc_by_radius, total_mass, mass_tol=MASS_TOL_FR
             "band": float(band), "regime": regime, "converged": True}
 
 
-def virialization_metric(energy, ekin_series: TimeSeries, eps_frac=EPS_VIR_FRAC):
+def virialization_metric(energy, ekin_series: TimeSeries):
     """Time average (1/t) integral of (E + E_kin) by the trapezoid rule.
 
     Returns (metric series from the second sample on, virialized flag).
     The flag is set when the trailing metric magnitudes sit below
-    eps_frac * (|E| + E_kin(0)) and are not growing.
+    EPS_VIR_FRAC * (|E| + E_kin(0)) and are not growing.
     """
     t = ekin_series.times
     if t.size < 2 or t[0] != 0.0:
@@ -276,7 +276,7 @@ def virialization_metric(energy, ekin_series: TimeSeries, eps_frac=EPS_VIR_FRAC)
         ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t)))
     )
     metric = TimeSeries(t[1:], cumulative[1:] / t[1:])
-    eps = eps_frac * (abs(energy) + ekin_series.values[0])
+    eps = EPS_VIR_FRAC * (abs(energy) + ekin_series.values[0])
     tail = metric.trailing(0.25) if len(metric) >= 8 else metric
     span = max(tail.times[-1] - tail.times[0], 1.0e-300)
     # small and not headed back up within another window of the same span
@@ -303,12 +303,12 @@ def _epot_vanishing(times, epot):
     return bool(decayed and trending and steep)
 
 
-def _detect_period(series: TimeSeries, tol=0.01):
+def _detect_period(series: TimeSeries):
     """Autocorrelation period estimate requiring two matched periods.
 
     Returns the period or None.  Needs an oscillation amplitude well
     above the mean-level noise and a second autocorrelation peak within
-    `tol` (relative) of twice the first.
+    1 % (relative) of twice the first.
     """
     v = series.values
     n = v.size
@@ -344,15 +344,15 @@ def _detect_period(series: TimeSeries, tol=0.01):
     second = max(near_double, key=lambda i: ac[i])
     lag1 = refine(first)
     lag2 = refine(second)
-    if abs(lag2 - 2.0 * lag1) > tol * lag2 + 0.5:
+    if abs(lag2 - 2.0 * lag1) > 0.01 * lag2 + 0.5:
         return None
     return lag1 * dt
 
 
-def _is_flat(values, rel=1.0e-2):
+def _is_flat(values):
     values = np.asarray(values, dtype=np.float64)
     scale = max(float(np.max(np.abs(values))), 1.0e-300)
-    return float(values.max() - values.min()) <= rel * scale
+    return float(values.max() - values.min()) <= 1.0e-2 * scale
 
 
 def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes):
@@ -370,18 +370,18 @@ def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes
     * steady and periodic energy bounds: E < 0, resp. E < -|Q|^2/(2M).
     """
     checks = []
-    scale = abs(energy) + abs(momentum_sq_over_2m) + 1.0e-300
+    relation = _threshold(energy, momentum_sq_over_2m).relation
     strong_or_total = label in ("strongly-dispersive", "totally-dispersive")
 
     if strong_or_total:
-        ok = energy >= momentum_sq_over_2m - 1.0e-12 * scale
+        ok = relation != "less"
         checks.append(PropositionCheck(
             "necessary-energy", "pass" if ok else "fail",
             f"E={energy:.6g} vs Q^2/2M={momentum_sq_over_2m:.6g}"))
     else:
         checks.append(PropositionCheck("necessary-energy", "not-applicable"))
 
-    if energy > momentum_sq_over_2m + 1.0e-12 * scale:
+    if relation == "greater":
         if growth is None:
             checks.append(PropositionCheck(
                 "variance-growth", "fail", "no usable variance fit"))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
+import functools
 import os
 import sys
 
@@ -27,6 +27,7 @@ from .config import (
 )
 from .csvio import (
     _fmt,
+    _write_json,
     normalised,
     read_diagnostics,
     records_table,
@@ -92,12 +93,11 @@ def _build_scenario(config: RunConfig, seed):
     raise ConfigError(f"scenario {scenario!r} is not a simulator scenario")
 
 
-def cmd_run(config: RunConfig, out_dir, seed=None, threads=1):
+def cmd_run(config: RunConfig, out_dir, seed=None):
     """Execute one configured run; writes diagnostics.csv, snapshots and
     manifest.json into `out_dir`.  Returns the diagnostics path.
 
-    `threads` is accepted for interface symmetry with sweep; a single
-    run is sequential and deterministic regardless of its value.
+    A single run is sequential, so `run --threads` has no effect on it.
     """
     return _run(config, out_dir, seed)[0]
 
@@ -176,9 +176,7 @@ def _report(parsed, energy=None, momentum=0.0, mass=None, out_path=None):
         mass = float(parsed.mass[0])
     report = _classify(parsed, energy, momentum, mass)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(out_path, report.to_dict())
     return report
 
 
@@ -200,10 +198,21 @@ def _sweep_one(args):
     }
 
 
+def _failed(job, exc):
+    """Summary row of a member that raised `exc`; its type and message
+    go to the member's error.json."""
+    _, _, value, run_dir = job
+    os.makedirs(run_dir, exist_ok=True)
+    _write_json(os.path.join(run_dir, "error.json"),
+                {"type": type(exc).__name__, "message": str(exc)})
+    return {"value": value, "label": "failed"}
+
+
 def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
     """One run per value of `param`, classified, plus summary.csv.
 
-    Failed runs are recorded with label `failed`; the sweep continues.
+    A failed run is recorded with label `failed` and its run_NNN/
+    error.json; the sweep continues.
     The summary preserves the input value order regardless of the
     execution order.  Values may be numbers or strings; a value that is
     not a finite number, or not integral for an integer parameter,
@@ -223,22 +232,19 @@ def cmd_sweep(config: RunConfig, param, values, out_dir, threads=1):
         jobs.append((dict(config.values), param, value, run_dir))
     os.makedirs(out_dir, exist_ok=True)
 
-    results = [None] * len(jobs)
     if threads > 1 and len(jobs) > 1:
+        # leaving the pool waits for every member; a worker that died
+        # leaves its future holding BrokenProcessPool
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_sweep_one, job): i for i, job in enumerate(jobs)}
-            for future in concurrent.futures.as_completed(futures):
-                i = futures[future]
-                try:
-                    results[i] = future.result()
-                except Exception:
-                    results[i] = {"value": jobs[i][2], "label": "failed"}
+            calls = [pool.submit(_sweep_one, job).result for job in jobs]
     else:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _sweep_one(job)
-            except Exception:
-                results[i] = {"value": job[2], "label": "failed"}
+        calls = [functools.partial(_sweep_one, job) for job in jobs]
+    results = []
+    for job, call in zip(jobs, calls):
+        try:
+            results.append(call())
+        except Exception as exc:
+            results.append(_failed(job, exc))
 
     columns = ("value", "E", "Q2_over_2M", "label", "exponent", "M_infinity")
     lines = [",".join(columns)]
@@ -304,7 +310,7 @@ def main(argv=None):
             if args.seed is not None:
                 config = _validated(config.replace(seed=args.seed).values)
         if args.command == "run":
-            cmd_run(config, args.out, threads=args.threads)
+            cmd_run(config, args.out)
         elif args.command == "kurth":
             cmd_kurth(args.k, args.t_end, args.cadence, args.q_list.split(","),
                       args.out, args.r_grid.split(","))

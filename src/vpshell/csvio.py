@@ -258,6 +258,11 @@ def write_manifest(path, command, config_values, seed, extra=None):
     }
     if extra:
         manifest.update(extra)
+    _write_json(path, manifest)
+
+
+def _write_json(path, data):
+    """`data` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")

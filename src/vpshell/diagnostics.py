@@ -336,20 +336,19 @@ def diagnostics_record(
     r_grid=(),
     q_list=(),
     n_bins=None,
-    shell_group="shell",
     profile=None,
 ):
     """Assemble a full DiagnosticsRecord for one snapshot.
 
     `r_grid` selects the ball radii for the concentration function and
     `q_list` the exponents for density norms.  `n_bins` defaults to
-    ceil(sqrt(N)).  `inner_radius_shell` tracks the tagged shell
-    subpopulation when present, otherwise the global minimum radius.
+    ceil(sqrt(N)).  `inner_radius_shell` tracks the particles of group
+    "shell" when present, otherwise the global minimum radius.
     The radii are sorted once; the field energy, every concentration
     radius and the histogram share that order.
 
-    `run()` passes a `RawState`, whose shell selector replaces
-    `shell_group`, and the step kernel's (r_sorted, m_sorted, prefix).
+    `run()` passes a `RawState`, whose shell selector replaces the
+    group test, and the step kernel's (r_sorted, m_sorted, prefix).
     """
     t = ensemble.time
     r, mass, prefix = profile or _sorted_mass_profile(ensemble.r, ensemble.mass)[:3]
@@ -367,7 +366,7 @@ def diagnostics_record(
     else:
         norms = ()
     is_raw = isinstance(ensemble, RawState)
-    shell = ensemble.shell if is_raw else _selector(ensemble.group == shell_group)
+    shell = ensemble.shell if is_raw else _selector(ensemble.group == "shell")
     r1_shell = float(r[0]) if shell is None else float(ensemble.r[shell].min())
     return DiagnosticsRecord(
         time=t,

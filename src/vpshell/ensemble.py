@@ -21,32 +21,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "ShellParticle",
     "Ensemble",
     "RadialDensityProfile",
     "DiagnosticsRecord",
 ]
-
-
-@dataclass(frozen=True)
-class ShellParticle:
-    """One spherically averaged mass shell in reduced coordinates."""
-
-    r: float
-    w: float
-    ell: float = 0.0
-    mass: float = 1.0
-
-    def __post_init__(self):
-        for name in ("r", "w", "ell", "mass"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.r <= 0.0:
-            raise DomainError("radius must be positive")
-        if self.mass <= 0.0:
-            raise DomainError("mass must be positive")
-        if self.ell < 0.0:
-            raise DomainError("angular momentum magnitude must be >= 0")
 
 
 def _as_readonly(values, name, n=None):
@@ -104,23 +82,8 @@ class Ensemble:
             raise DomainError("angular momentum magnitudes must be >= 0")
         self._total_mass = float(np.sum(self.mass))
 
-    @classmethod
-    def from_particles(cls, particles, time=0.0, group=None):
-        particles = list(particles)
-        return cls(
-            time,
-            [p.r for p in particles],
-            [p.w for p in particles],
-            [p.ell for p in particles],
-            [p.mass for p in particles],
-            group,
-        )
-
     @property
     def n(self):
-        return self.r.size
-
-    def __len__(self):
         return self.r.size
 
     @property

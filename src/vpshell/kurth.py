@@ -120,20 +120,18 @@ def _default_dt(k):
     return 1.0e-4 * min(1.0, phi_min * phi_min)
 
 
-def integrate_phi(k, t_end, dt=None, output_cadence=0.01):
+def integrate_phi(k, t_end):
     """Leapfrog integration of phi'' = (1 - phi)/phi^3 from (1, k).
 
-    The step is chosen once per trajectory (see `_default_dt`); at the
-    default settings the first integral drifts by less than 1e-8
-    (relative) per unit time.  Samples are stored roughly every
-    `output_cadence`, always including t = 0 and exactly t = t_end.
+    The step is fixed per trajectory (see `_default_dt`); at that step
+    the first integral drifts by less than 1e-8 (relative) per unit
+    time.  Samples are stored roughly every 0.01, always including
+    t = 0 and exactly t = t_end.
     """
     if t_end < 0.0:
         raise DomainError("t_end must be >= 0")
-    if dt is None:
-        dt = _default_dt(k)
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    dt = _default_dt(k)
+    output_cadence = 0.01
 
     phi = 1.0
     pd = float(k)
@@ -161,16 +159,17 @@ def integrate_phi(k, t_end, dt=None, output_cadence=0.01):
     return KurthTrajectory(np.array(times), np.array(phis), np.array(pds))
 
 
-def _solve_monotone(f, fprime, lo, hi, x0, tol=1.0e-12, max_iter=120):
+def _solve_monotone(f, fprime, lo, hi, x0):
     """Vectorised safeguarded Newton for a strictly increasing f.
 
     Roots are bracketed by [lo, hi]; Newton steps falling outside the
-    current bracket are replaced by bisection.
+    current bracket are replaced by bisection.  Stops after 120 steps or
+    when no x moves by more than 1e-12 relative.
     """
     lo = np.array(lo, dtype=np.float64, copy=True)
     hi = np.array(hi, dtype=np.float64, copy=True)
     x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
-    for _ in range(max_iter):
+    for _ in range(120):
         fx = f(x)
         below = fx < 0.0
         lo = np.where(below, x, lo)
@@ -179,7 +178,7 @@ def _solve_monotone(f, fprime, lo, hi, x0, tol=1.0e-12, max_iter=120):
         x_new = x - step
         bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
         x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        if np.all(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new))):
+        if np.all(np.abs(x_new - x) <= 1.0e-12 * np.maximum(1.0, np.abs(x_new))):
             x = x_new
             break
         x = x_new

@@ -4,8 +4,8 @@ Three configurations cover the interesting regimes:
 
 * an outward-moving shell whose radial momenta clear the escape
   threshold sqrt(M / (2 pi R1)), which empties every fixed ball;
-* a circular-orbit ball, an exact steady state of the reduced dynamics
-  for any radial profile, supported purely by tangential motion;
+* a uniform circular-orbit ball, an exact steady state of the reduced
+  dynamics, supported purely by tangential motion;
 * their superposition, which can shed the shell to infinity while the
   total energy stays negative provided the shell mass and momenta sit
   inside an explicit window.
@@ -73,18 +73,12 @@ class ShellSpec:
 
 @dataclass(frozen=True)
 class CoreSpec:
-    """Static ball of mass `mass` and radius `radius`.
-
-    `profile` is either "uniform" or a table of (radius, enclosed
-    mass) pairs defining the cumulative mass, increasing to `mass` at
-    `radius`.
-    """
+    """Static uniform ball of mass `mass` and radius `radius`."""
 
     mass: float
     radius: float
     n: int
     seed: int = 0
-    profile: object = "uniform"
 
     def __post_init__(self):
         for name in ("mass", "radius"):
@@ -96,17 +90,6 @@ class CoreSpec:
             raise DomainError("core radius must be positive")
         if self.n < 1 or self.seed < 0:
             raise DomainError("need at least one particle and a seed >= 0")
-        if isinstance(self.profile, str):
-            if self.profile != "uniform":
-                raise DomainError(f"unknown profile {self.profile!r}")
-        else:
-            table = np.asarray(self.profile, dtype=np.float64)
-            if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-                raise DomainError("profile table needs rows of (radius, mass)")
-            if np.any(np.diff(table[:, 0]) <= 0) or np.any(np.diff(table[:, 1]) < 0):
-                raise DomainError("profile table must increase")
-            if table[-1, 1] <= 0.0:
-                raise DomainError("profile table carries no mass")
 
 
 @dataclass(frozen=True)
@@ -164,37 +147,22 @@ def build_shell(spec: ShellSpec):
     return ensemble, report
 
 
-def _cumulative_mass_of(spec: CoreSpec, r):
-    if isinstance(spec.profile, str):
-        return spec.mass * np.clip(r / spec.radius, 0.0, 1.0) ** 3
-    table = np.asarray(spec.profile, dtype=np.float64)
-    scale = spec.mass / table[-1, 1]
-    return np.interp(r, table[:, 0], scale * table[:, 1], left=0.0)
-
-
-def _radius_of_mass_fraction(spec: CoreSpec, frac):
-    if isinstance(spec.profile, str):
-        return spec.radius * frac ** (1.0 / 3.0)
-    table = np.asarray(spec.profile, dtype=np.float64)
-    cum = table[:, 1] / table[-1, 1]
-    return np.interp(frac, cum, table[:, 0])
-
-
 def build_circular_core(spec: CoreSpec):
     """Sample the static ball: w = 0 and the exact circular-orbit ell.
 
-    Radii come from inverse-transform sampling of the target cumulative
-    mass; each particle receives ell^2 = r * M_target(<r) / (4 pi)
-    using the analytic target mass, not the sampled one, which makes
-    the ensemble a steady state up to sampling noise.
+    Radii come from inverse-transform sampling of the uniform cumulative
+    mass M(<r) = M (r/a)^3; each particle receives ell^2 = r M(<r) / (4 pi)
+    using this analytic mass, not the sampled one, which makes the
+    ensemble a steady state up to sampling noise.
     """
     rng = _rng(spec.seed)
     frac = _stratified(rng, spec.n)
-    r = _radius_of_mass_fraction(spec, frac)
+    r = spec.radius * frac ** (1.0 / 3.0)
     if np.any(r <= 0.0):
-        # An innermost stratum can land at radius 0 for cuspy tables.
+        # A zero draw in the innermost stratum lands at radius 0.
         r = np.maximum(r, 1.0e-12 * spec.radius)
-    ell = np.sqrt(r * _cumulative_mass_of(spec, r) / FOUR_PI)
+    enclosed = spec.mass * np.clip(r / spec.radius, 0.0, 1.0) ** 3
+    ell = np.sqrt(r * enclosed / FOUR_PI)
     mass = np.full(spec.n, spec.mass / spec.n)
     return Ensemble(
         0.0, r, np.zeros(spec.n), ell, mass, np.full(spec.n, "core")

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
@@ -7,7 +9,7 @@ from vpshell.cli import cmd_classify, cmd_kurth, cmd_run, cmd_sweep, main
 from vpshell.config import load_config, parse_config
 from vpshell.csvio import diagnostics_header, read_diagnostics, write_diagnostics
 from vpshell.dynamics import IntegratorConfig, run
-from vpshell.ensemble import Ensemble, ShellParticle
+from vpshell.ensemble import Ensemble
 from vpshell.errors import ClassifyInputError, ConfigError, DomainError
 from vpshell.kurth import (
     first_integral,
@@ -41,6 +43,10 @@ output_cadence = 0.2
 r_grid = 1.0,4.0,8.0
 q_list = 1.6666666666666667
 """
+
+
+def _die(job):
+    os._exit(1)
 
 
 @pytest.fixture
@@ -270,7 +276,7 @@ class TestKurthCommand:
     ])
     def test_times_equal_simulator_record_times(self, t_end, cadence, tmp_path):
         csv = cmd_kurth(0.5, t_end, cadence, (5.0 / 3.0,), str(tmp_path))
-        ensemble = Ensemble.from_particles([ShellParticle(1.0, 0.1)])
+        ensemble = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(ensemble, IntegratorConfig(t_end=t_end, output_cadence=cadence))
         assert read_diagnostics(csv).times.tolist() == sink.times().tolist()
         # 3 * 0.1 rounds to 0.30000000000000004: the table stops at 0.3
@@ -360,9 +366,16 @@ class TestSweepCommand:
 
     def test_bad_cadence_member_fails_alone(self, tmp_path):
         cfg = parse_config(KURTH_CFG)
-        summary = cmd_sweep(cfg, "output_cadence", ["0", "0.5"], str(tmp_path / "sweep"))
-        labels = [row.split(",")[3] for row in open(summary).read().splitlines()[1:]]
-        assert labels == ["failed", "periodic"]
+        for threads in (1, 2):
+            out = tmp_path / f"sweep{threads}"
+            summary = cmd_sweep(cfg, "output_cadence", ["0", "0.5"], str(out),
+                                threads=threads)
+            labels = [row.split(",")[3] for row in open(summary).read().splitlines()[1:]]
+            assert labels == ["failed", "periodic"]
+            error = json.loads((out / "run_000" / "error.json").read_text())
+            assert error["type"] == "DomainError"
+            assert "cadence" in error["message"]
+            assert not (out / "run_001" / "error.json").exists()
 
     def test_integer_parameter_coerced(self, tmp_path):
         path = tmp_path / "cfg"
@@ -424,6 +437,23 @@ class TestSweepCommand:
             again = tmp_path / f"report_{i}.json"
             cmd_classify(str(member / "diagnostics.csv"), out_path=str(again))
             assert (member / "report.json").read_bytes() == again.read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched member function")
+    def test_dead_worker_recorded(self, tmp_path, monkeypatch):
+        # a worker that dies raises nothing itself: the sweep records
+        # every member the broken pool took down
+        import vpshell.cli as cli
+
+        monkeypatch.setattr(cli, "_sweep_one", _die)
+        out = tmp_path / "sweep"
+        summary = cmd_sweep(parse_config(KURTH_CFG), "kurth.k", [0.5, 1.5], str(out),
+                            threads=2)
+        rows = [row.split(",") for row in open(summary).read().splitlines()[1:]]
+        assert rows == [["0.5", "", "", "failed", "", ""], ["1.5", "", "", "failed", "", ""]]
+        for i in range(2):
+            error = json.loads((out / f"run_{i:03d}" / "error.json").read_text())
+            assert error["type"] == "BrokenProcessPool"
 
     def test_member_csv_not_read_back(self, tmp_path, monkeypatch):
         import vpshell.cli as cli

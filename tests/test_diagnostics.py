@@ -6,7 +6,6 @@ import pytest
 from vpshell import (
     DomainError,
     Ensemble,
-    ShellParticle,
     build_radial_profile,
     concentration_function,
     concentration_mass,
@@ -59,11 +58,11 @@ def uniform_ball(n, mass=1.0, radius=1.0, circular=False):
 
 class TestCumulativeMass:
     def test_all_enclosed(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         assert cumulative_mass(e, 2.0) == 1.0
 
     def test_none_enclosed(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         assert cumulative_mass(e, 0.5) == 0.0
 
     def test_partial_sum(self):
@@ -88,7 +87,7 @@ class TestCumulativeMass:
             assert vals[-1] <= e.total_mass + 1e-12
 
     def test_domain_errors(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         with pytest.raises(DomainError):
             cumulative_mass(e, float("nan"))
         with pytest.raises(DomainError):
@@ -108,7 +107,7 @@ class TestContainerValidation:
         with pytest.raises(DomainError):
             Ensemble(0.0, [1.0, 2.0], [0.0], [0.0], [1.0])
         with pytest.raises(DomainError):
-            ShellParticle(1.0, 0.0, 0.0, 0.0)  # massless
+            Ensemble(0.0, [1.0], [0.0], [0.0], [0.0])  # massless
 
     def test_profile_rejects_bad_edges(self):
         from vpshell import RadialDensityProfile
@@ -124,22 +123,22 @@ class TestContainerValidation:
             e.r[0] = 2.0
 
     def test_long_group_label_kept(self, tmp_path):
-        # labels longer than 16 characters survive the ensemble, the
-        # record's shell radius and the snapshot file
+        # a label longer than 16 characters survives the ensemble and the
+        # snapshot file, and does not cut the "shell" label beside it
         from vpshell.csvio import write_snapshot
         from vpshell.diagnostics import diagnostics_record
 
-        label = "outer_shell_population"
+        label = "central_core_particles"
         e = Ensemble(0.0, [0.5, 2.0, 3.0], [0.0] * 3, [0.0] * 3, [1.0] * 3,
-                     ["core", label, label])
-        assert list(e.group) == ["core", label, label]
-        rec = diagnostics_record(e, shell_group=label)
+                     [label, "shell", "shell"])
+        assert list(e.group) == [label, "shell", "shell"]
+        rec = diagnostics_record(e)
         assert rec.inner_radius_shell == 2.0
         assert rec.inner_radius == 0.5
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), e)
         assert [row.split(",")[-1] for row in path.read_text().splitlines()[2:]] == [
-            "core", label, label]
+            label, "shell", "shell"]
 
 
 class TestPotentialEnergy:
@@ -182,7 +181,7 @@ class TestKineticEnergy:
         assert kinetic_energy(e) == 0.0
 
     def test_radial_only(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 2.0, 0.0, 1.0)])
+        e = Ensemble(0.0, [1.0], [2.0], [0.0], [1.0])
         assert kinetic_energy(e) == pytest.approx(2.0)
 
     def test_circular_ball(self):

@@ -8,7 +8,6 @@ from vpshell import (
     Ensemble,
     IntegratorConfig,
     NumericalError,
-    ShellParticle,
     StiffnessError,
     acceleration,
     adaptive_dt,
@@ -79,7 +78,7 @@ def tied_ensembles(seed, count=200, n_max=200):
 
 class TestAcceleration:
     def test_lone_particle_no_self_force(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         assert acceleration(e)[0] == 0.0
 
     def test_outer_particle_feels_interior_mass(self):
@@ -141,7 +140,7 @@ class TestAcceleration:
 
 class TestStep:
     def test_free_particle_exact(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.25)])
+        e = Ensemble(0.0, [1.0], [0.25], [0.0], [1.0])
         out = step(e, 2.0)
         assert out.r[0] == pytest.approx(1.5, rel=1e-15)
         assert out.w[0] == pytest.approx(0.25)
@@ -201,13 +200,13 @@ class TestStep:
             step(e, 1.0, dt_min=0.5)
 
     def test_bad_dt(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         with pytest.raises(DomainError):
             step(e, 0.0)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt(self, dt):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.0)])
+        e = Ensemble(0.0, [1.0], [0.0], [0.0], [1.0])
         with pytest.raises(DomainError):
             step(e, dt)
 
@@ -287,23 +286,23 @@ class TestAdaptiveDt:
 
 class TestRun:
     def test_zero_horizon_single_record(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.1)])
+        e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=0.0, output_cadence=1.0))
         assert len(sink.records) == 1
         assert sink.records[0].time == 0.0
 
     def test_record_times_are_cadence_multiples(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.1)])
+        e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=2.0, output_cadence=0.5))
         assert np.allclose(sink.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_final_partial_record(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.1)])
+        e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=1.3, output_cadence=0.5))
         assert sink.times()[-1] == pytest.approx(1.3)
 
     def test_snapshots_at_requested_times(self):
-        e = Ensemble.from_particles([ShellParticle(1.0, 0.5)])
+        e = Ensemble(0.0, [1.0], [0.5], [0.0], [1.0])
         sink = run(
             e,
             IntegratorConfig(t_end=2.0, output_cadence=1.0),

@@ -14,7 +14,6 @@ from vpshell import (
     dynamical_time,
     kinetic_energy,
     potential_energy,
-    statistical_dispersion,
 )
 from vpshell.dynamics import run
 
@@ -89,17 +88,6 @@ class TestBuildCircularCore:
         sink = run(e, IntegratorConfig(t_end=20 * t_dyn, output_cadence=t_dyn))
         var = sink.series("variance")
         assert (var.max() - var.min()) / var[0] < 1e-3
-
-    def test_custom_profile_table(self):
-        # cumulative-mass table for the same uniform ball
-        radii = np.linspace(0.0, 1.0, 200)
-        table = np.column_stack([radii, radii**3])
-        e = build_circular_core(CoreSpec(mass=1.0, radius=1.0, n=10_000, seed=1, profile=table))
-        assert statistical_dispersion(e) == pytest.approx(0.6, rel=2e-2)
-
-    def test_zero_mass_profile_rejected(self):
-        with pytest.raises(DomainError):
-            CoreSpec(mass=1.0, radius=1.0, n=10, profile=[[0.0, 0.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("field", ["mass", "radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
