@@ -16,9 +16,7 @@ from .classify import (
 from .diagnostics import (
     build_radial_profile,
     concentration_function,
-    concentration_mass,
     conformal_moment,
-    cumulative_mass,
     diagnostics_record,
     dilation_moment,
     galilean_shift,

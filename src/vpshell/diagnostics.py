@@ -18,14 +18,12 @@ from .ensemble import DiagnosticsRecord, Ensemble, RadialDensityProfile
 from .errors import DomainError
 
 __all__ = [
-    "cumulative_mass",
     "potential_energy",
     "kinetic_energy",
     "total_energy",
     "statistical_dispersion",
     "dilation_moment",
     "conformal_moment",
-    "concentration_mass",
     "concentration_function",
     "build_radial_profile",
     "lq_norm",
@@ -35,9 +33,9 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
-# An unchecked, uncopied state for `diagnostics_record`; `run()` sets
-# the total mass and the shell group's `_selector` once per run.
-RawState = namedtuple("RawState", "time r w ell mass total_mass shell")
+# An unchecked, uncopied state for `diagnostics_record`; `run()` sets the
+# total mass, the shell `_selector` and the `_workspace` once per run.
+RawState = namedtuple("RawState", "time r w ell mass total_mass shell work")
 
 
 def _selector(mask):
@@ -76,30 +74,6 @@ def _sorted_mass_profile(r, mass):
     prefix[0] = 0.0
     np.cumsum(m_sorted, out=prefix[1:])
     return r_sorted, m_sorted, prefix, order, tied
-
-
-def _enclosed(r_sorted, prefix, radii):
-    idx = np.searchsorted(r_sorted, radii, side="left")
-    return prefix[idx]
-
-
-def cumulative_mass(ensemble: Ensemble, r):
-    """Mass strictly inside radius r.
-
-    A particle evaluating the field at its own radius does not see its
-    own mass (strict inequality), so a lone shell feels no self-force.
-    Accepts a scalar or an array of radii.
-    """
-    r_arr = np.asarray(r, dtype=np.float64)
-    if not np.all(np.isfinite(r_arr)):
-        raise DomainError("query radius must be finite")
-    if np.any(r_arr < 0.0):
-        raise DomainError("query radius must be >= 0")
-    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
-    out = _enclosed(r_sorted, prefix, r_arr)
-    if np.isscalar(r) or r_arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def _field_energy(r_sorted, prefix):
@@ -161,40 +135,43 @@ def conformal_moment(ensemble: Ensemble, t):
     return float(np.sum(ensemble.mass * (radial**2 + tangential**2)))
 
 
-def _cap_fractions(r, d, R):
+def _cap_fractions(r, d, R, out, tmp):
     # Fraction of a uniform sphere of radius r inside the ball |x - x0| < R
-    # with |x0| = d > 0: the spherical cap cos(theta) > mu.
-    mu = (r * r + d * d - R * R) / (2.0 * d * r)
-    return np.clip(0.5 * (1.0 - mu), 0.0, 1.0)
+    # with |x0| = d > 0, the spherical cap cos(theta) > mu, written to
+    # `out`; `tmp` is scratch of the same length.
+    np.subtract(np.add(np.multiply(r, r, out=out), d * d, out=out), R * R, out=out)
+    np.divide(out, np.multiply(2.0 * d, r, out=tmp), out=out)  # mu
+    np.multiply(0.5, np.subtract(1.0, out, out=out), out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def concentration_mass(ensemble: Ensemble, d, R):
-    """Mass inside a ball of radius R whose centre sits at distance d.
-
-    Exact for the shell representation: each particle contributes the
-    fraction of its sphere covered by the ball.  For d = 0 a shell is
-    either fully inside (r < R, strict) or fully outside.
-    """
-    if R <= 0.0 or not np.isfinite(R):
-        raise DomainError("ball radius must be positive and finite")
-    if d < 0.0 or not np.isfinite(d):
-        raise DomainError("centre distance must be >= 0 and finite")
-    if d == 0.0:
-        return float(np.sum(ensemble.mass[ensemble.r < R]))
-    return float(np.sum(ensemble.mass * _cap_fractions(ensemble.r, d, R)))
-
-
-def _ball_mass(r, mass, prefix, d, R):
-    # concentration_mass over radii sorted increasingly: shells below
+def _ball_mass(r, mass, prefix, d, R, work):
+    # Mass of the ball over radii sorted increasingly: shells below
     # R - d lie wholly inside the ball, shells in [|R - d|, R + d] are
-    # cut by its surface.
+    # cut by its surface.  `work` is a scratch row of 2N floats.
     i0 = np.searchsorted(r, abs(R - d), side="left")
     i1 = np.searchsorted(r, R + d, side="right")
     inside = float(prefix[i0]) if d < R else 0.0
-    return inside + float(np.dot(mass[i0:i1], _cap_fractions(r[i0:i1], d, R)))
+    cut = i1 - i0
+    caps = _cap_fractions(r[i0:i1], d, R, work[:cut], work[r.size:r.size + cut])
+    return inside + float(np.dot(mass[i0:i1], caps))
 
 
-def _concentration(r, mass, prefix, total, R):
+def _workspace(n):
+    """Scratch for `_concentration` on up to n shells: six rows of 2n
+    floats (12 per shell).  Row 0 holds a record's `_shell_terms`; rows
+    1-5 are rewritten by every radius."""
+    return np.empty((6, 2 * n))
+
+
+def _shell_terms(r, mass, work):
+    """m / 2 and m / r of each sorted shell, written to row 0 of `work`:
+    the band contributions that do not depend on the ball radius."""
+    n = r.size
+    return np.multiply(0.5, mass, out=work[0, :n]), np.divide(mass, r, out=work[0, n:2 * n])
+
+
+def _concentration(r, mass, prefix, total, R, terms, work):
     """Q(R) and the centre distance attaining it, radii sorted increasingly.
 
     A shell of radius r lies wholly inside the ball for d < R - r, is
@@ -207,6 +184,11 @@ def _concentration(r, mass, prefix, total, R):
     with S0, S1, S the sums of m, m r and m / r over the cut band.  It
     is concave where W > 0 and decreasing elsewhere, so its maximum on
     an interval sits at d* = sqrt(W / S) clipped to the interval.
+
+    `terms` is the record's (m / 2, m / r) from `_shell_terms` and
+    `work` its `_workspace`: the breakpoints, band sums, centres and
+    values are written into rows 1-5, so the one allocation of a call
+    is the argsort index of the 2N breakpoints (16 bytes per shell).
     """
     if R <= 0.0 or not np.isfinite(R):
         raise DomainError("ball radius must be positive and finite")
@@ -219,40 +201,66 @@ def _concentration(r, mass, prefix, total, R):
     at_zero = float(prefix[k0] + 0.5 * (prefix[k1] - prefix[k0]))
     if at_zero >= total:
         return total, 0.0
+    n = r.size
+    half, inv = terms
+    row, d, c, w, s = work[1:, :2 * n]
     # Each shell enters the band at |R - r| and leaves it at R + r.  The
     # three runs of breakpoints (r < R reversed, r >= R, and R + r) are
     # each increasing, so the stable sort is a merge.  A shell entering
     # from inside moves half its mass out of C, one entering from
     # outside adds half, and one leaving takes its half away.
-    d = np.concatenate((R - r[:k0][::-1], r[k0:] - R, R + r))
-    order = np.argsort(d, kind="stable")
-    d = d[order]
+    np.subtract(R, r[:k0][::-1], out=row[:k0])
+    np.subtract(r[k0:], R, out=row[k0:n])
+    np.add(R, r, out=row[n:])
+    order = np.argsort(row, kind="stable")
+    # mode="clip": with the default "raise", take buffers `out` afresh
+    np.take(row, order, out=d, mode="clip")
 
-    def band_sums(enter, leave):
-        return np.cumsum(np.concatenate((enter[:k0][::-1], enter[k0:], leave))[order])
+    def run_order(enter):
+        # entering contributions in the order of the first two runs
+        row[:k0] = enter[:k0][::-1]
+        row[k0:n] = enter[k0:]
 
-    half = 0.5 * mass
-    inv = mass / r
-    w = (r - R) * (r + R) * inv
-    c = prefix[k0] + band_sums(np.concatenate((-half[:k0], half[k0:])), -half)
-    w = band_sums(w, -w)
-    s = band_sums(inv, -inv)
+    def band_sums(leave, out):
+        np.negative(leave, out=row[n:])
+        np.take(row, order, out=out, mode="clip")
+        return np.cumsum(out, out=out)
+
+    run_order(half)
+    np.negative(row[:k0], out=row[:k0])
+    np.add(prefix[k0], band_sums(half, c), out=c)
+    # each shell's W term (r - R)(r + R) m / r, built where `leave` goes
+    shell_w = np.subtract(r, R, out=row[n:])
+    np.multiply(shell_w, np.add(r, R, out=row[:n]), out=shell_w)
+    run_order(np.multiply(shell_w, inv, out=shell_w))
+    band_sums(shell_w, w)
+    run_order(inv)
+    band_sums(inv, s)
     # Breakpoints at d = 0 belong to shells on |x| = R, whose W is zero:
     # their interval starts at the d -> 0+ limit already counted.  The
     # band after the last breakpoint is empty.
     j = int(np.searchsorted(d, 0.0, side="right"))
+    m = 2 * n - 1 - j
     lo, hi = d[j:-1], d[j + 1:]
     c, w, s = c[j:-1], w[j:-1], s[j:-1]
+    centres, scratch = row[:m], d[:m]
     with np.errstate(divide="ignore", invalid="ignore"):
         # fmax/fmin map the NaN of an empty band (0 / 0) to its left end.
-        centres = np.fmin(np.fmax(np.sqrt(np.maximum(w, 0.0) / s), lo), hi)
-    values = c - w / (4.0 * centres) - 0.25 * centres * s
-    values = np.concatenate(([at_zero], values))
-    centres = np.concatenate(([0.0], centres))
-    best_d = float(centres[int(np.argmax(values))])
-    if best_d == 0.0:
+        np.divide(np.maximum(w, 0.0, out=centres), s, out=centres)
+        np.fmin(np.fmax(np.sqrt(centres, out=centres), lo, out=centres), hi, out=centres)
+    # values = c - w / (4 centres) - 0.25 centres s, written over c; lo
+    # and hi are spent, so their row is the scratch
+    np.divide(w, np.multiply(4.0, centres, out=scratch), out=scratch)
+    np.subtract(c, scratch, out=c)
+    np.multiply(np.multiply(0.25, centres, out=scratch), s, out=scratch)
+    np.subtract(c, scratch, out=c)
+    # The first maximum of [at_zero, *values] wins, so a tie (or no band
+    # at all) goes to d = 0; a NaN value wins, as argmax would pick it.
+    i = int(np.argmax(c)) if m else 0
+    if not m or c[i] <= at_zero:
         return min(at_zero, total), 0.0
-    return min(_ball_mass(r, mass, prefix, best_d, R), total), best_d
+    best_d = float(centres[i])
+    return min(_ball_mass(r, mass, prefix, best_d, R, row), total), best_d
 
 
 def concentration_function(ensemble: Ensemble, R, return_center=False):
@@ -269,21 +277,23 @@ def concentration_function(ensemble: Ensemble, R, return_center=False):
 
     When shells lie exactly on the sphere |x| = R the supremum may be
     the limit d -> 0+, which counts those shells at half their mass;
-    `concentration_mass` at d = 0 counts only r < R.
+    the ball at d = 0 itself holds only the shells with r < R.
 
     With `return_center` the best centre distance is returned alongside
     the mass.
     """
     r, mass, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
-    best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R))
+    work = _workspace(r.size)
+    best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R),
+                                  _shell_terms(r, mass, work), work)
     return (best, best_d) if return_center else best
 
 
 def _radial_profile(r, prefix, n_bins):
     # Bins are [e_k, e_k+1) and the last one is closed, as in np.histogram.
+    if not 1 <= n_bins < math.inf:
+        raise DomainError("need a finite number of bins, at least one")
     n_bins = int(n_bins)
-    if n_bins < 1:
-        raise DomainError("need at least one bin")
     edges = np.linspace(0.0, float(r[-1]), n_bins + 1)
     idx = np.append(np.searchsorted(r, edges[:-1], side="left"), r.size)
     binned = prefix[idx[1:]] - prefix[idx[:-1]]
@@ -307,8 +317,8 @@ def lq_norm(profile: RadialDensityProfile, q):
     the binned mass up to the midpoint-rule discretisation error.
     """
     q = float(q)
-    if q < 1.0:
-        raise DomainError("q must be >= 1")
+    if not 1.0 <= q < math.inf:
+        raise DomainError("q must be >= 1 and finite")
     edges = profile.bin_edges
     mid = 0.5 * (edges[1:] + edges[:-1])
     dr = np.diff(edges)
@@ -345,19 +355,29 @@ def diagnostics_record(
     ceil(sqrt(N)).  `inner_radius_shell` tracks the particles of group
     "shell" when present, otherwise the global minimum radius.
     The radii are sorted once; the field energy, every concentration
-    radius and the histogram share that order.
+    radius and the histogram share that order.  The radii share one
+    concentration `_workspace` and the shell terms m / 2 and m / r,
+    computed once per record; an `Ensemble` gets a workspace for this
+    call.
 
     `run()` passes a `RawState`, whose shell selector replaces the
-    group test, and the step kernel's (r_sorted, m_sorted, prefix).
+    group test and whose workspace lives as long as the run, and the
+    step kernel's (r_sorted, m_sorted, prefix).
     """
     t = ensemble.time
+    is_raw = isinstance(ensemble, RawState)
     r, mass, prefix = profile or _sorted_mass_profile(ensemble.r, ensemble.mass)[:3]
     e_kin = kinetic_energy(ensemble)
     e_pot = _field_energy(r, prefix)
-    conc = tuple(
-        (R, _concentration(r, mass, prefix, ensemble.total_mass, R)[0])
-        for R in map(float, r_grid)
-    )
+    radii = tuple(map(float, r_grid))
+    conc = ()
+    if radii:
+        work = ensemble.work if is_raw else _workspace(r.size)
+        terms = _shell_terms(r, mass, work)
+        conc = tuple(
+            (R, _concentration(r, mass, prefix, ensemble.total_mass, R, terms, work)[0])
+            for R in radii
+        )
     if q_list:
         if n_bins is None:
             n_bins = int(math.ceil(math.sqrt(r.size)))
@@ -365,7 +385,6 @@ def diagnostics_record(
         norms = tuple((float(q), lq_norm(hist, q)) for q in q_list)
     else:
         norms = ()
-    is_raw = isinstance(ensemble, RawState)
     shell = ensemble.shell if is_raw else _selector(ensemble.group == "shell")
     r1_shell = float(r[0]) if shell is None else float(ensemble.r[shell].min())
     return DiagnosticsRecord(

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import RawState, _selector, _sorted_mass_profile, diagnostics_record
+from .diagnostics import (RawState, _selector, _sorted_mass_profile, _workspace,
+                          diagnostics_record)
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -306,6 +307,7 @@ def run(
         str(name): _selector(group == name) for name in np.unique(group) if name != ""
     }
     shell = selectors.get("shell")
+    work = _workspace(r.size) if len(r_grid) else None
     sink = TrajectorySink()
     reflections = rejections = 0
     accel, profile = _raw_acceleration(r, ell, mass)
@@ -335,7 +337,7 @@ def run(
         if not (r_sorted[0] > 0.0 and r_sorted[-1] < math.inf and np.isfinite(w).all()):
             cause = DomainError("radii must be positive and finite, w finite")
             raise NumericalError(f"invalid state: {cause}", time=t) from cause
-        raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell)
+        raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell, work)
         sink.records.append(diagnostics_record(
             raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile
         ))

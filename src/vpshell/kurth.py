@@ -48,8 +48,9 @@ energy of the family in its own rescaled units.  It is NOT numerically
 equal to the simulator energy E_kin - E_pot of a sampled ball in units
 with 4 pi G = 1 (the two differ by a constant factor and a time
 rescaling).  Only the sign and the thresholds -3/5 and 0 are used to
-classify; see `kinetic_scaled` / `potential_scaled` for the split that
-is exact within this normalisation.
+classify.  Within this normalisation the split I = (3/5)(phi'^2 + phi^-2)
+- (6/5)/phi is exact, and one factor 8 pi maps both parts onto the
+simulator's E_kin and E_pot of a sampled static ball.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ __all__ = [
     "kurth_lq_norm",
     "kurth_concentration",
     "kurth_diagnostics",
-    "kinetic_scaled",
-    "potential_scaled",
 ]
 
 
@@ -311,24 +310,6 @@ def kurth_concentration(phi, R):
         raise DomainError("ball radius must be positive")
     phi = np.asarray(phi, dtype=np.float64)
     return np.minimum((R / phi) ** 3, 1.0)
-
-
-def kinetic_scaled(phi, phi_dot):
-    """Kinetic part of the first integral: (3/5)(phi'^2 + phi^-2).
-
-    Together with `potential_scaled` this is the unique split with
-    I = kinetic - potential, potential proportional to 1/phi, and the
-    static member satisfying the virial relation kinetic = -I.  It maps
-    onto the simulator-unit split of a sampled ball through one common
-    scale factor.
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    return 0.6 * (np.square(phi_dot) + phi**-2)
-
-
-def potential_scaled(phi):
-    """Potential part of the first integral: (6/5)/phi."""
-    return 1.2 / np.asarray(phi, dtype=np.float64)
 
 
 def kurth_diagnostics(t, phi, phi_dot, q_list=(), r_grid=()):

@@ -8,9 +8,8 @@ from vpshell import (
     Ensemble,
     build_radial_profile,
     concentration_function,
-    concentration_mass,
     conformal_moment,
-    cumulative_mass,
+    diagnostics_record,
     dilation_moment,
     galilean_shift,
     kinetic_energy,
@@ -18,8 +17,50 @@ from vpshell import (
     potential_energy,
     statistical_dispersion,
 )
-from vpshell.diagnostics import _sorted_mass_profile
+from vpshell.diagnostics import (
+    _concentration,
+    _shell_terms,
+    _sorted_mass_profile,
+    _workspace,
+)
 from conftest import random_ensemble
+
+
+def cumulative_mass(ensemble, r):
+    """Mass strictly inside radius r, a scalar or an array of radii.
+
+    A particle evaluating the field at its own radius does not see its
+    own mass (strict inequality), so a lone shell feels no self-force.
+    """
+    r_arr = np.asarray(r, dtype=np.float64)
+    if not np.all(np.isfinite(r_arr)):
+        raise DomainError("query radius must be finite")
+    if np.any(r_arr < 0.0):
+        raise DomainError("query radius must be >= 0")
+    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    out = prefix[np.searchsorted(r_sorted, r_arr, side="left")]
+    if np.isscalar(r) or r_arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def concentration_mass(ensemble, d, R):
+    """Mass inside a ball of radius R whose centre sits at distance d.
+
+    Exact for the shell representation: each particle contributes the
+    fraction of its sphere covered by the ball, the spherical cap
+    cos(theta) > mu.  For d = 0 a shell is either fully inside (r < R,
+    strict) or fully outside.
+    """
+    if R <= 0.0 or not np.isfinite(R):
+        raise DomainError("ball radius must be positive and finite")
+    if d < 0.0 or not np.isfinite(d):
+        raise DomainError("centre distance must be >= 0 and finite")
+    r = ensemble.r
+    if d == 0.0:
+        return float(np.sum(ensemble.mass[r < R]))
+    mu = (r * r + d * d - R * R) / (2.0 * d * r)
+    return float(np.sum(ensemble.mass * np.clip(0.5 * (1.0 - mu), 0.0, 1.0)))
 
 
 def brute_force_concentration(e, R):
@@ -364,6 +405,143 @@ class TestConcentration:
             concentration_function(e, 0.0)
 
 
+def fresh_concentration(r, mass, prefix, total, R):
+    """Reference for `_concentration` that allocates every array afresh.
+
+    The same arithmetic in the same order (breakpoints, band sums,
+    clipped stationary points, first maximum of [at_zero, *values],
+    re-evaluation with the cap sum), so value and centre must agree
+    bit for bit with the workspace version.
+    """
+    k0 = int(np.searchsorted(r, R, side="left"))
+    if k0 == r.size:
+        return total, 0.0
+    k1 = int(np.searchsorted(r, R, side="right"))
+    at_zero = float(prefix[k0] + 0.5 * (prefix[k1] - prefix[k0]))
+    if at_zero >= total:
+        return total, 0.0
+    d = np.concatenate((R - r[:k0][::-1], r[k0:] - R, R + r))
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+
+    def band_sums(enter, leave):
+        return np.cumsum(np.concatenate((enter[:k0][::-1], enter[k0:], leave))[order])
+
+    half = 0.5 * mass
+    inv = mass / r
+    w = (r - R) * (r + R) * inv
+    c = prefix[k0] + band_sums(np.concatenate((-half[:k0], half[k0:])), -half)
+    w = band_sums(w, -w)
+    s = band_sums(inv, -inv)
+    j = int(np.searchsorted(d, 0.0, side="right"))
+    lo, hi = d[j:-1], d[j + 1:]
+    c, w, s = c[j:-1], w[j:-1], s[j:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres = np.fmin(np.fmax(np.sqrt(np.maximum(w, 0.0) / s), lo), hi)
+    values = c - w / (4.0 * centres) - 0.25 * centres * s
+    values = np.concatenate(([at_zero], values))
+    centres = np.concatenate(([0.0], centres))
+    best_d = float(centres[int(np.argmax(values))])
+    if best_d == 0.0:
+        return min(at_zero, total), 0.0
+    i0 = np.searchsorted(r, abs(R - best_d), side="left")
+    i1 = np.searchsorted(r, R + best_d, side="right")
+    inside = float(prefix[i0]) if best_d < R else 0.0
+    ri = r[i0:i1]
+    mu = (ri * ri + best_d * best_d - R * R) / (2.0 * best_d * ri)
+    caps = np.clip(0.5 * (1.0 - mu), 0.0, 1.0)
+    return min(inside + float(np.dot(mass[i0:i1], caps)), total), best_d
+
+
+def sorted_state(e):
+    r, mass, prefix, *_ = _sorted_mass_profile(e.r, e.mass)
+    return r, mass, prefix, e.total_mass
+
+
+class TestConcentrationWorkspace:
+    """`_concentration` writes into a run-owned workspace; every value
+    and centre must equal the fresh-allocation reference bit for bit."""
+
+    def check(self, e, radii, work):
+        # one workspace for every radius of the record, checked against
+        # the fresh reference, a fresh workspace and the brute-force oracle
+        r, mass, prefix, total = sorted_state(e)
+        terms = _shell_terms(r, mass, work)
+        results = []
+        for R in map(float, radii):
+            got = _concentration(r, mass, prefix, total, R, terms, work)
+            assert got == fresh_concentration(r, mass, prefix, total, R)
+            alone = _workspace(r.size)
+            assert got == _concentration(r, mass, prefix, total, R,
+                                         _shell_terms(r, mass, alone), alone)
+            assert abs(got[0] - brute_force_concentration(e, R)) <= 1e-12 * total
+            results.append(got)
+        return results
+
+    def test_reused_across_radii_and_records(self, rng):
+        # records of different sizes and radii share one workspace sized
+        # to the largest; ties, radii on shells and radii past r_max mixed in
+        work = _workspace(40)
+        for trial in range(200):
+            e = random_ensemble(rng, n_max=40)
+            if trial % 2:
+                r = np.round(e.r, 1) + 0.1  # tied radii
+                e = Ensemble(0.0, r, e.w, e.ell, e.mass)
+            radii = [*(10.0 ** rng.uniform(-1.0, 1.1, 3)), e.r[0], e.r.max(), 1.5 * e.r.max()]
+            self.check(e, radii, work)
+
+    def test_radius_beyond_max_exits_early(self):
+        e = Ensemble(0.0, [0.5, 1.0, 3.0], [0.0] * 3, [0.0] * 3, [1.0, 2.0, 3.0])
+        assert self.check(e, [3.0 + 1e-12, 50.0], _workspace(3)) == [(6.0, 0.0)] * 2
+
+    def test_full_ball_at_origin_exits_early(self):
+        # the outer shell's mass is lost in the total's rounding, so the
+        # ball at the origin already holds the total: at_zero >= total
+        e = Ensemble(0.0, [0.5, 3.0], [0.0] * 2, [0.0] * 2, [1.0, 1e-17])
+        assert e.total_mass == 1.0
+        assert self.check(e, [1.0], _workspace(2)) == [(1.0, 0.0)]
+
+    def test_shells_on_the_sphere_and_ties(self):
+        # two tied shells on |x| = 1 count half as d -> 0+, and a third
+        # tie sits at 3; R = 3 puts the tie on the sphere
+        e = Ensemble(0.0, [0.5, 1.0, 1.0, 3.0, 3.0], [0.0] * 5, [0.0] * 5,
+                     [1.0, 0.5, 0.5, 1.0, 2.0])
+        (val, centre), *_ = self.check(e, [1.0, 3.0, 0.5], _workspace(5))
+        assert (val, centre) == (1.5, 0.0)
+
+    def test_single_shell_and_empty_band(self):
+        # R = r leaves one interval, [0, 2R], after the breakpoint at 0:
+        # no band is evaluated and the limit d -> 0+ (half the shell) wins
+        e = Ensemble(0.0, [2.0], [0.0], [0.0], [3.0])
+        results = self.check(e, [2.0, 0.5, 1.0], _workspace(1))
+        assert results[0] == (1.5, 0.0)
+        assert results[1][1] == math.sqrt(4.0 - 0.25)
+
+    def test_warm_call_allocates_only_the_sort_index(self):
+        # numpy reports its data buffers to tracemalloc; the argsort index
+        # of the 2N breakpoints is 16 bytes per shell, and fresh arrays
+        # of 2N floats would add 16 more each
+        import tracemalloc
+
+        core = uniform_ball(20_000)
+        r = np.concatenate((core.r, np.linspace(2.0, 12.0, 5_000)))
+        n = r.size
+        e = Ensemble(0.0, r, np.zeros(n), np.zeros(n), np.full(n, 1.0 / n))
+        r, mass, prefix, total = sorted_state(e)
+        work = _workspace(n)
+        terms = _shell_terms(r, mass, work)
+        warm = _concentration(r, mass, prefix, total, 2.0, terms, work)
+        assert warm[1] > 0.0  # the band search runs, no early exit
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert _concentration(r, mass, prefix, total, 2.0, terms, work) == warm
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n
+
+
 class TestRadialProfile:
     def test_single_particle_single_bin(self):
         e = Ensemble(0.0, [2.0], [0.0], [0.0], [3.0])
@@ -400,6 +578,11 @@ class TestRadialProfile:
             (4 * math.pi / 3) * (np.arange(1, 5) ** 3 - np.arange(4) ** 3))
         np.testing.assert_allclose(binned, [0.1, 0.2, 0.7, 1.1], rtol=1e-12)
 
+    @pytest.mark.parametrize("n_bins", [math.nan, math.inf, 0, 0.5])
+    def test_bad_bin_count_refused(self, n_bins):
+        with pytest.raises(DomainError):
+            build_radial_profile(uniform_ball(100), n_bins)
+
     def test_empty_bin_zero_density(self):
         e = Ensemble(0.0, [0.1, 10.0], [0, 0], [0, 0], [1.0, 1.0])
         prof = build_radial_profile(e, 20)
@@ -430,6 +613,15 @@ class TestLqNorm:
         prof = build_radial_profile(uniform_ball(100), 5)
         with pytest.raises(DomainError):
             lq_norm(prof, 0.5)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_exponent_refused(self, q):
+        # nan used to give nan and inf gave 1.0
+        prof = build_radial_profile(uniform_ball(100), 5)
+        with pytest.raises(DomainError):
+            lq_norm(prof, q)
+        with pytest.raises(DomainError):
+            diagnostics_record(uniform_ball(100), q_list=(q,))
 
 
 class TestGalileanShift:

@@ -8,13 +8,29 @@ from vpshell.kurth import (
     classify_k,
     first_integral,
     integrate_phi,
-    kinetic_scaled,
     kurth_diagnostics,
     kurth_energy,
     kurth_period,
     phi_closed_form,
-    potential_scaled,
 )
+
+
+def kinetic_scaled(phi, phi_dot):
+    """Kinetic part of the first integral: (3/5)(phi'^2 + phi^-2).
+
+    Together with `potential_scaled` this is the unique split with
+    I = kinetic - potential, potential proportional to 1/phi, and the
+    static member satisfying the virial relation kinetic = -I.  It maps
+    onto the simulator-unit split of a sampled ball through one common
+    scale factor.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    return 0.6 * (np.square(phi_dot) + phi**-2)
+
+
+def potential_scaled(phi):
+    """Potential part of the first integral: (6/5)/phi."""
+    return 1.2 / np.asarray(phi, dtype=np.float64)
 
 
 def one(*values):
