@@ -35,24 +35,26 @@ def main():
     )
 
     print(" t      R1_shell   R1(0)+W t   E_pot      M^2/(8 pi R1)  |rho|_5/3")
-    for rec in sink.records[:: len(sink.records) // 8]:
-        bound = 1.0 + report.margin * rec.time
-        envelope = 1.0 / (8 * np.pi * rec.inner_radius_shell)
+    table = sink.records
+    r1_shell = table.inner_radius_shell
+    for k in range(0, len(table.times), len(table.times) // 8):
+        bound = 1.0 + report.margin * table.times[k]
+        envelope = 1.0 / (8 * np.pi * r1_shell[k])
         print(
-            f"{rec.time:6.1f}  {rec.inner_radius_shell:9.3f}  {bound:9.3f}"
-            f"  {rec.energy_potential:9.5f}  {envelope:12.5f}"
-            f"  {rec.lq_norms[0][1]:9.5f}"
+            f"{table.times[k]:6.1f}  {r1_shell[k]:9.3f}  {bound:9.3f}"
+            f"  {table.energy_potential[k]:9.5f}  {envelope:12.5f}"
+            f"  {table.lq[q_list[0]][k]:9.5f}"
         )
 
     print(f"\nenergy drift over the run: {energy_drift(sink):.2e}")
 
-    write_diagnostics("/tmp/escaping_shell.csv", sink.records, r_grid, q_list)
+    write_diagnostics("/tmp/escaping_shell.csv", table, r_grid, q_list)
     parsed = read_diagnostics("/tmp/escaping_shell.csv")
-    rec0 = sink.records[0]
-    label = classify(parsed, rec0.energy_total, 0.0, rec0.mass)
-    fit = growth_exponent(TimeSeries(sink.times(), sink.series("variance")))
+    energy = float(table.energy[0])
+    label = classify(parsed, energy, 0.0, float(table.mass[0]))
+    fit = growth_exponent(TimeSeries(table.times, table.variance))
     print(f"label: {label.label}   variance exponent: {fit.exponent:.3f}")
-    print(f"E = {rec0.energy_total:.4f} >= Q^2/2M = 0 as required for total dispersal")
+    print(f"E = {energy:.4f} >= Q^2/2M = 0 as required for total dispersal")
 
 
 if __name__ == "__main__":

@@ -37,17 +37,18 @@ def main():
     )
 
     print(" t      R1_shell   core E_kin   core <r^2>   mass in ball R=8")
-    for rec, gs in list(zip(sink.records, sink.group_stats))[::25]:
+    table = sink.records
+    for k in range(0, len(table.times), 25):
+        gs = sink.group_stats[k]
         print(
-            f"{rec.time:6.1f}  {gs['shell']['min_r']:9.2f}  {gs['core']['kinetic']:.8f}"
-            f"  {gs['core']['variance']:.8f}   {dict(rec.concentration)[8.0]:.6f}"
+            f"{table.times[k]:6.1f}  {gs['shell']['min_r']:9.2f}  {gs['core']['kinetic']:.8f}"
+            f"  {gs['core']['variance']:.8f}   {table.conc[8.0][k]:.6f}"
         )
 
-    write_diagnostics("/tmp/shell_with_core.csv", sink.records, r_grid, (5.0 / 3.0,))
+    write_diagnostics("/tmp/shell_with_core.csv", table, r_grid, (5.0 / 3.0,))
     parsed = read_diagnostics("/tmp/shell_with_core.csv")
-    rec0 = sink.records[0]
-    label = classify(parsed, rec0.energy_total, 0.0, rec0.mass)
-    fit = growth_exponent(TimeSeries(sink.times(), sink.series("variance")))
+    label = classify(parsed, float(table.energy[0]), 0.0, float(table.mass[0]))
+    fit = growth_exponent(TimeSeries(table.times, table.variance))
     print(f"\nlabel: {label.label}")
     print(f"retained mass M_inf = {label.m_infinity:.4f} (ball mass 1.0)")
     print(f"variance exponent = {fit.exponent:.3f} (t^2 growth despite E < 0)")

@@ -29,13 +29,14 @@ def main():
         r_grid=(0.5, 1.0),
         q_list=(5.0 / 3.0,),
     )
-    var = sink.series("variance")
+    table = sink.records
+    var = table.variance
     print(f"variance drift over 30 dynamical times: {(var.max() - var.min()) / var[0]:.2e}")
     print("\n t        <r^2>       E_kin       best-centred mass in ball R=0.5")
-    for rec in sink.records[::3]:
+    for k in range(0, len(table.times), 3):
         print(
-            f"{rec.time:7.2f}  {rec.variance:.8f}  {rec.energy_kinetic:.8f}"
-            f"  {dict(rec.concentration)[0.5]:.6f}"
+            f"{table.times[k]:7.2f}  {var[k]:.8f}  {table.energy_kinetic[k]:.8f}"
+            f"  {table.conc[0.5][k]:.6f}"
         )
 
 

@@ -27,7 +27,7 @@ from .diagnostics import (
     total_energy,
 )
 from .dynamics import IntegratorConfig, TrajectorySink, acceleration, adaptive_dt, run, step
-from .ensemble import DiagnosticsRecord, Ensemble, RadialDensityProfile
+from .ensemble import Ensemble, RadialDensityProfile
 from .errors import (
     ClassifyInputError,
     ConfigError,

@@ -30,7 +30,6 @@ from .csvio import (
     _write_json,
     normalised,
     read_diagnostics,
-    records_table,
     write_diagnostics,
     write_manifest,
     write_snapshot,
@@ -127,7 +126,7 @@ def _run(config, out_dir, seed=None):
         sink = run(ensemble, integrator, r_grid=r_grid, q_list=q_list,
                    n_bins=config["n_bins"] or None,
                    snapshot_times=config["snapshot_times"])
-        table = records_table(sink.records, r_grid, q_list)
+        table = sink.records
         command, snapshots = "run", sink.snapshots
         extra = {"scenario_report": scenario_report} if scenario_report else None
     write_diagnostics(csv_path, table, r_grid, q_list)

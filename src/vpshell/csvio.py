@@ -11,7 +11,9 @@ column per configured exponent.  Numbers are written as their shortest
 round-trip decimal (Python repr), missing values as empty fields, and
 lines end with LF, so identical runs produce byte-identical files.
 
-`ParsedRun` is a run's one table from builder to label.  `_rows`
+`ParsedRun` is a run's one table from builder to label; `table_of`
+wraps a block whose rows are its columns in header order, as `run()`
+fills one and `read_diagnostics` parses one.  `_rows`
 formats it a row at a time: `",".join(map(repr, row))` over the stacked
 float columns, then the texts `nan`, `-inf` and `inf` are deleted.  A
 finite float's repr holds no letter but `e`, so the deletion leaves
@@ -37,33 +39,32 @@ __all__ = [
     "diagnostics_header",
     "write_diagnostics",
     "read_diagnostics",
-    "records_table",
+    "table_of",
     "normalised",
     "ParsedRun",
     "write_snapshot",
     "write_manifest",
 ]
 
-# Each fixed column: its name, the DiagnosticsRecord attribute it is
-# written from, the ParsedRun field it is read into, and whether every
-# row must carry a value on read.
+# Each fixed column, in header order: its name, the ParsedRun field that
+# holds it, and whether every row must carry a value on read.
 _SCHEMA = (
-    ("t", "time", "times", True),
-    ("E", "energy_total", "energy", True),
-    ("E_kin", "energy_kinetic", "energy_kinetic", False),
-    ("E_pot", "energy_potential", "energy_potential", False),
-    ("M", "mass", "mass", True),
-    ("var_x", "variance", "variance", True),
-    ("dilation", "dilation_moment", "dilation", False),
-    ("conformal", "conformal_moment", "conformal", False),
-    ("R1", "inner_radius", "inner_radius", True),
-    ("R2", "outer_radius", "outer_radius", True),
-    ("R1_shell", "inner_radius_shell", "inner_radius_shell", True),
+    ("t", "times", True),
+    ("E", "energy", True),
+    ("E_kin", "energy_kinetic", False),
+    ("E_pot", "energy_potential", False),
+    ("M", "mass", True),
+    ("var_x", "variance", True),
+    ("dilation", "dilation", False),
+    ("conformal", "conformal", False),
+    ("R1", "inner_radius", True),
+    ("R2", "outer_radius", True),
+    ("R1_shell", "inner_radius_shell", True),
 )
 
-FIXED_COLUMNS = tuple(column for column, _, _, _ in _SCHEMA)
+FIXED_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
 
-_FIELDS = tuple(field for _, _, field, _ in _SCHEMA)
+_FIELDS = tuple(field for _, field, _ in _SCHEMA)
 
 # rows formatted per block, so a large table never becomes one list
 _BLOCK = 4096
@@ -117,27 +118,24 @@ class ParsedRun:
     lq: dict  # q -> array
 
 
-def records_table(records, r_grid, q_list):
-    """The table of DiagnosticsRecords; a None cell becomes NaN."""
-    records = list(records)
-    conc = [dict(rec.concentration) for rec in records]
-    lq = [dict(rec.lq_norms) for rec in records]
+def table_of(block, r_grid, q_list):
+    """The ParsedRun whose columns are the rows of `block`, in the order
+    `diagnostics_header(r_grid, q_list)` names them.  Each column is a
+    view of its row, so a C-contiguous block gives contiguous columns."""
+    n_fixed = len(FIXED_COLUMNS)
+    n_conc = n_fixed + len(r_grid)
     return ParsedRun(
-        **{field: np.array([getattr(rec, attr) for rec in records], np.float64)
-           for _, attr, field, _ in _SCHEMA},
-        conc={float(R): np.array([row[R] for row in conc], np.float64) for R in r_grid},
-        lq={float(q): np.array([row[q] for row in lq], np.float64) for q in q_list},
+        **dict(zip(_FIELDS, block)),
+        conc=dict(zip(map(float, r_grid), block[n_fixed:n_conc])),
+        lq=dict(zip(map(float, q_list), block[n_conc:])),
     )
 
 
-def write_diagnostics(path, records, r_grid, q_list):
-    """Write a ParsedRun, or a list of DiagnosticsRecords, with the fixed
-    schema to `path`; a None column is written empty."""
+def write_diagnostics(path, table, r_grid, q_list):
+    """Write the ParsedRun `table` with the fixed schema to `path`; a
+    None column is written empty."""
     r_grid = tuple(float(radius) for radius in r_grid)
     q_list = tuple(float(q) for q in q_list)
-    table = records
-    if not isinstance(table, ParsedRun):
-        table = records_table(records, r_grid, q_list)
     empty = np.full(len(table.times), np.nan)
     columns = [getattr(table, field) for field in _FIELDS]
     columns = [empty if values is None else values for values in columns]
@@ -165,7 +163,7 @@ def normalised(table):
     """`table` under the column rule, as `read_diagnostics` returns it."""
     fixed = {
         field: _column(getattr(table, field), name, needed)
-        for name, _, field, needed in _SCHEMA
+        for name, field, needed in _SCHEMA
     }
     conc = {R: _column(v, f"conc_R{R}", True) for R, v in table.conc.items()}
     lq = {q: _column(v, f"lq_{q}", True) for q, v in table.lq.items()}
@@ -221,13 +219,7 @@ def read_diagnostics(path):
 
     # one contiguous array per column, as a builder makes them
     columns = np.array(rows, dtype=np.float64).T.copy()
-    n_fixed = len(FIXED_COLUMNS)
-    n_conc = n_fixed + len(conc_radii)
-    return normalised(ParsedRun(
-        **dict(zip(_FIELDS, columns)),
-        conc=dict(zip(conc_radii, columns[n_fixed:n_conc])),
-        lq=dict(zip(lq_exponents, columns[n_conc:])),
-    ))
+    return normalised(table_of(columns, conc_radii, lq_exponents))
 
 
 def write_snapshot(path, ensemble):

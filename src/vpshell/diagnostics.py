@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .ensemble import DiagnosticsRecord, Ensemble, RadialDensityProfile
+from .ensemble import Ensemble, RadialDensityProfile
 from .errors import DomainError
 
 __all__ = [
@@ -291,8 +291,10 @@ def concentration_function(ensemble: Ensemble, R, return_center=False):
 
 def _radial_profile(r, prefix, n_bins):
     # Bins are [e_k, e_k+1) and the last one is closed, as in np.histogram.
-    if not 1 <= n_bins < math.inf:
-        raise DomainError("need a finite number of bins, at least one")
+    # A bool or a fractional count is refused, as a config file refuses it.
+    counts = not isinstance(n_bins, (bool, np.bool_)) and 1 <= n_bins < math.inf
+    if not (counts and n_bins == int(n_bins)):
+        raise DomainError(f"need a whole, finite number of bins, at least one: {n_bins!r}")
     n_bins = int(n_bins)
     edges = np.linspace(0.0, float(r[-1]), n_bins + 1)
     idx = np.append(np.searchsorted(r, edges[:-1], side="left"), r.size)
@@ -348,11 +350,12 @@ def diagnostics_record(
     n_bins=None,
     profile=None,
 ):
-    """Assemble a full DiagnosticsRecord for one snapshot.
+    """The diagnostics of one snapshot as one float64 row, its cells in
+    the order `csvio.diagnostics_header(r_grid, q_list)` names them.
 
     `r_grid` selects the ball radii for the concentration function and
     `q_list` the exponents for density norms.  `n_bins` defaults to
-    ceil(sqrt(N)).  `inner_radius_shell` tracks the particles of group
+    ceil(sqrt(N)).  The `R1_shell` cell tracks the particles of group
     "shell" when present, otherwise the global minimum radius.
     The radii are sorted once; the field energy, every concentration
     radius and the histogram share that order.  The radii share one
@@ -362,7 +365,8 @@ def diagnostics_record(
 
     `run()` passes a `RawState`, whose shell selector replaces the
     group test and whose workspace lives as long as the run, and the
-    step kernel's (r_sorted, m_sorted, prefix).
+    step kernel's (r_sorted, m_sorted, prefix); it writes the row into
+    its table.
     """
     t = ensemble.time
     is_raw = isinstance(ensemble, RawState)
@@ -374,31 +378,18 @@ def diagnostics_record(
     if radii:
         work = ensemble.work if is_raw else _workspace(r.size)
         terms = _shell_terms(r, mass, work)
-        conc = tuple(
-            (R, _concentration(r, mass, prefix, ensemble.total_mass, R, terms, work)[0])
-            for R in radii
-        )
+        conc = [_concentration(r, mass, prefix, ensemble.total_mass, R, terms, work)[0]
+                for R in radii]
+    norms = ()
     if q_list:
         if n_bins is None:
             n_bins = int(math.ceil(math.sqrt(r.size)))
         hist = _radial_profile(r, prefix, n_bins)
-        norms = tuple((float(q), lq_norm(hist, q)) for q in q_list)
-    else:
-        norms = ()
+        norms = [lq_norm(hist, q) for q in q_list]
     shell = ensemble.shell if is_raw else _selector(ensemble.group == "shell")
-    r1_shell = float(r[0]) if shell is None else float(ensemble.r[shell].min())
-    return DiagnosticsRecord(
-        time=t,
-        energy_total=e_kin - e_pot,
-        energy_kinetic=e_kin,
-        energy_potential=e_pot,
-        mass=ensemble.total_mass,
-        variance=statistical_dispersion(ensemble),
-        dilation_moment=dilation_moment(ensemble),
-        conformal_moment=conformal_moment(ensemble, t),
-        inner_radius=float(r[0]),
-        outer_radius=float(r[-1]),
-        inner_radius_shell=r1_shell,
-        concentration=conc,
-        lq_norms=norms,
-    )
+    r1_shell = r[0] if shell is None else ensemble.r[shell].min()
+    return np.array([
+        t, e_kin - e_pot, e_kin, e_pot, ensemble.total_mass,
+        statistical_dispersion(ensemble), dilation_moment(ensemble),
+        conformal_moment(ensemble, t), r[0], r[-1], r1_shell, *conc, *norms,
+    ], np.float64)

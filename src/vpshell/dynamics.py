@@ -26,7 +26,8 @@ step until it succeeds or the step underflows.
 `_record_times` (t0 + k * cadence up to t_end, then t_end), which the
 analytic Kurth tables share, merged with the snapshot times.  It steps
 towards each and lands on it exactly.  A record reads the raw arrays
-and the order the step's kernel sorted; only snapshots are `Ensemble`s.
+and the order the step's kernel sorted, and writes its row into the
+run's one table; only snapshots are `Ensemble`s.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import FIXED_COLUMNS, ParsedRun, table_of
 from .diagnostics import (RawState, _selector, _sorted_mass_profile, _workspace,
                           diagnostics_record)
 from .ensemble import Ensemble
@@ -89,24 +91,18 @@ class IntegratorConfig:
 
 @dataclass
 class TrajectorySink:
-    """Run output: diagnostics records plus optional snapshots.
+    """Run output: the diagnostics table plus optional snapshots.
 
-    `group_stats` holds, per record, per-group scalars that do not fit
-    the record schema (minimum radius and radial momentum, kinetic
-    energy, variance).  `events` counts reflections and step
-    rejections between consecutive records, for smoothness masking.
+    `records` is the run's `csvio.ParsedRun`, one row per record time;
+    every column is a contiguous float64 array, as `read_diagnostics`
+    builds them.  `group_stats` holds, per record, per-group scalars
+    that do not fit the table (minimum radius and radial momentum,
+    kinetic energy, variance).
     """
 
-    records: list = field(default_factory=list)
+    records: ParsedRun
     snapshots: list = field(default_factory=list)
     group_stats: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-
-    def times(self):
-        return np.array([rec.time for rec in self.records])
-
-    def series(self, attr):
-        return np.array([getattr(rec, attr) for rec in self.records])
 
 
 def _raw_acceleration(r, ell, mass):
@@ -159,35 +155,31 @@ def adaptive_dt(ensemble: Ensemble, config: IntegratorConfig, accel=None):
 def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
     """One kick-drift-kick attempt.  Returns None if the step must be
     rejected (centre crossing of a particle that cannot be reflected),
-    else (r, w, accel, profile, n_reflections)."""
+    else (r, w, accel, profile)."""
     w_half = w + (0.5 * dt) * accel
     r_new = r + dt * w_half
     crossed = r_new <= 0.0
-    n_reflect = 0
     if np.any(crossed):
         radial = ell == 0.0
         if not reflection_enabled or np.any(crossed & ~radial):
             return None
         w_half = np.where(crossed, -w_half, w_half)
         r_new = np.where(crossed, np.maximum(np.abs(r_new), _TINY), r_new)
-        n_reflect = int(np.count_nonzero(crossed))
     accel_new, profile = _raw_acceleration(r_new, ell, mass)
     w_new = w_half + (0.5 * dt) * accel_new
-    return r_new, w_new, accel_new, profile, n_reflect
+    return r_new, w_new, accel_new, profile
 
 
 def _accepted_step(r, w, ell, mass, accel, dt, reflection_enabled, dt_min, t):
     """Attempt a step of dt, halving it until an attempt is accepted.
 
-    Returns (r, w, accel, profile, n_reflections, dt_taken, n_rejections).
-    A half below `dt_min` raises StiffnessError at time t.
+    Returns (r, w, accel, profile, dt_taken).  A half below `dt_min`
+    raises StiffnessError at time t.
     """
-    rejections = 0
     while True:
         result = _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled)
         if result is not None:
-            return (*result, dt, rejections)
-        rejections += 1
+            return (*result, dt)
         dt *= 0.5
         if dt < dt_min:
             raise StiffnessError(
@@ -225,7 +217,7 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     remaining = dt
     h = dt
     while remaining > 0.0:
-        r, w, accel, _, _, h, _ = _accepted_step(
+        r, w, accel, _, h = _accepted_step(
             r, w, ell, mass, accel, min(h, remaining), reflection_enabled, dt_min, t
         )
         t += h
@@ -277,8 +269,8 @@ def run(
     n_bins=None,
     snapshot_times=(),
 ) -> TrajectorySink:
-    """Integrate to t_end, emitting a record at each `_record_times`
-    time and a snapshot at each requested time.
+    """Integrate to t_end, writing a row of the diagnostics table at
+    each `_record_times` time and a snapshot at each requested time.
 
     The two kinds of output time are walked as one sorted list, a
     snapshot before a record at the same time.  For each target the
@@ -295,11 +287,11 @@ def run(
     snap_times = [float(s) for s in snapshot_times]
     if not all(t0 <= s <= config.t_end for s in snap_times):
         raise DomainError("snapshot times must lie within [t0, t_end]")
-    # False sorts first: a snapshot precedes a record at the same time
-    targets = sorted(
-        [(s, False) for s in snap_times]
-        + [(t, True) for t in _record_times(t0, config.t_end, cadence)]
-    )
+    record_times = _record_times(t0, config.t_end, cadence)
+    # each target carries its table column, a snapshot -1, which sorts
+    # first: a snapshot precedes a record at the same time
+    targets = sorted([(s, -1) for s in snap_times]
+                     + [(t, k) for k, t in enumerate(record_times)])
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
@@ -308,28 +300,27 @@ def run(
     }
     shell = selectors.get("shell")
     work = _workspace(r.size) if len(r_grid) else None
-    sink = TrajectorySink()
-    reflections = rejections = 0
+    # one row per column, so each table column is a contiguous row
+    block = np.empty((len(FIXED_COLUMNS) + len(r_grid) + len(q_list), len(record_times)))
+    sink = TrajectorySink(table_of(block, r_grid, q_list))
     accel, profile = _raw_acceleration(r, ell, mass)
     dt_cap = config.dt_initial  # caps the first step only
     time_tol = 1.0e-9 * cadence
     t = t0
-    for target, is_record in targets:
+    for target, k in targets:
         while t < target - time_tol:
             dt = _raw_adaptive_dt(r, w, accel, config)
             if not math.isfinite(dt):
                 raise NumericalError("non-finite step size", time=t)
             profile = None  # free the last sort before the kernel makes the next
-            r, w, accel, profile, n_reflect, dt, n_reject = _accepted_step(
+            r, w, accel, profile, dt = _accepted_step(
                 r, w, ell, mass, accel, min(dt, dt_cap, target - t),
                 config.reflection_enabled, config.dt_min, t,
             )
             dt_cap = math.inf
-            reflections += n_reflect
-            rejections += n_reject
             t += dt
         t = target
-        if not is_record:
+        if k < 0:
             sink.snapshots.append(_state(t, r, w, ell, mass, group))
             continue
         # ell and mass never change; NaN radii sort last
@@ -338,17 +329,15 @@ def run(
             cause = DomainError("radii must be positive and finite, w finite")
             raise NumericalError(f"invalid state: {cause}", time=t) from cause
         raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell, work)
-        sink.records.append(diagnostics_record(
+        block[:, k] = diagnostics_record(
             raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile
-        ))
+        )
         sink.group_stats.append(_group_stats(r, w, ell, mass, selectors))
-        sink.events.append({"reflections": reflections, "rejections": rejections})
-        reflections = rejections = 0
     return sink
 
 
 def energy_drift(sink: TrajectorySink):
     """Max relative deviation of E over the records (0 for one record)."""
-    energies = sink.series("energy_total")
+    energies = sink.records.energy
     scale = max(abs(energies[0]), 1.0e-300)
     return float(np.max(np.abs(energies - energies[0])) / scale)

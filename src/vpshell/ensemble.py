@@ -23,7 +23,6 @@ from .errors import DomainError
 __all__ = [
     "Ensemble",
     "RadialDensityProfile",
-    "DiagnosticsRecord",
 ]
 
 
@@ -122,28 +121,3 @@ class RadialDensityProfile:
         vol = (4.0 * np.pi / 3.0) * (edges[1:] ** 3 - edges[:-1] ** 3)
         return float(np.sum(self.bin_density * vol))
 
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One time sample of every conserved or monitored quantity, as the
-    simulator records it (the Kurth table is built as columns, with no
-    record).
-
-    A None cell (`energy_kinetic`, `energy_potential`, the moments) is
-    written empty; `energy_total` is always set and, when the split is
-    present, equals kinetic - potential exactly as computed.
-    """
-
-    time: float
-    energy_total: float
-    energy_kinetic: float | None
-    energy_potential: float | None
-    mass: float
-    variance: float
-    dilation_moment: float | None
-    conformal_moment: float | None
-    inner_radius: float
-    outer_radius: float
-    inner_radius_shell: float
-    concentration: tuple  # ((R, M_R), ...)
-    lq_norms: tuple  # ((q, norm), ...)

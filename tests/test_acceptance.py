@@ -44,8 +44,8 @@ def classify_sink(sink, r_grid, q_list, tmp_path, name):
     path = os.path.join(str(tmp_path), f"{name}.csv")
     write_diagnostics(path, sink.records, r_grid, q_list)
     parsed = read_diagnostics(path)
-    rec0 = sink.records[0]
-    return parsed, classify(parsed, rec0.energy_total, 0.0, rec0.mass)
+    table = sink.records
+    return parsed, classify(parsed, float(table.energy[0]), 0.0, float(table.mass[0]))
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +201,9 @@ def test_criterion_03_escaping_shell(shell_run):
     )
 
     W = build.margin
+    table = sink.records
     r_ok = all(
-        rec.inner_radius_shell >= 1.0 + W * rec.time * 0.98 for rec in sink.records
+        r1 >= 1.0 + W * t * 0.98 for t, r1 in zip(table.times, table.inner_radius_shell)
     )
     ok &= report_line("3b inner radius grows at rate W", r_ok, f"W = {W:.4f}")
 
@@ -210,8 +211,8 @@ def test_criterion_03_escaping_shell(shell_run):
     ok &= report_line("3c radial momentum floor", w_ok, "min w >= 0.98 W")
 
     pot_ok = all(
-        rec.energy_potential <= 1.02 / (8.0 * math.pi * rec.inner_radius_shell)
-        for rec in sink.records
+        epot <= 1.02 / (8.0 * math.pi * r1)
+        for epot, r1 in zip(table.energy_potential, table.inner_radius_shell)
     )
     ok &= report_line("3d field-energy envelope", pot_ok, "E_pot <= 1.02 M^2/(8 pi R1)")
 
@@ -221,7 +222,7 @@ def test_criterion_03_escaping_shell(shell_run):
         label_report.label,
     )
     prop_ok = all(p.status in ("pass", "not-applicable") for p in label_report.propositions)
-    energy = sink.records[0].energy_total
+    energy = sink.records.energy[0]
     ok &= report_line(
         "3f propositions consistent", prop_ok and energy >= 0.0,
         f"E = {energy:.4f} >= Q^2/2M = 0; "
@@ -237,35 +238,37 @@ def test_criterion_03_escaping_shell(shell_run):
 
 def test_criterion_04_static_core(core_run):
     sink = core_run["sink"]
-    rec0 = sink.records[0]
+    table = sink.records
+    ekin = table.energy_kinetic
+    energy = table.energy[0]
     ekin_ref = 3.0 / (40.0 * math.pi)
     epot_ref = 3.0 / (20.0 * math.pi)
 
     ok = report_line(
-        "4a kinetic energy", abs(rec0.energy_kinetic - ekin_ref) <= 0.01 * ekin_ref,
-        f"{rec0.energy_kinetic:.6f} vs 3/(40 pi) = {ekin_ref:.6f}",
+        "4a kinetic energy", abs(ekin[0] - ekin_ref) <= 0.01 * ekin_ref,
+        f"{ekin[0]:.6f} vs 3/(40 pi) = {ekin_ref:.6f}",
     )
+    epot0 = table.energy_potential[0]
     ok &= report_line(
-        "4b field energy", abs(rec0.energy_potential - epot_ref) <= 0.01 * epot_ref,
-        f"{rec0.energy_potential:.6f} vs 3/(20 pi) = {epot_ref:.6f}",
+        "4b field energy", abs(epot0 - epot_ref) <= 0.01 * epot_ref,
+        f"{epot0:.6f} vs 3/(20 pi) = {epot_ref:.6f}",
     )
-    ekin = sink.series("energy_kinetic")
-    virial = np.abs(rec0.energy_total + ekin) / ekin
+    virial = np.abs(energy + ekin) / ekin
     ok &= report_line("4c virial relation", float(virial.max()) <= 0.02,
                       f"max |E + E_kin|/E_kin = {virial.max():.2e}")
-    var = sink.series("variance")
+    var = table.variance
     drift = (var.max() - var.min()) / var[0]
     ok &= report_line(
         "4d variance drift over 100 dynamical times", drift <= 1e-3,
-        f"{drift:.2e} over t = {sink.records[-1].time:.1f}",
+        f"{drift:.2e} over t = {table.times[-1]:.1f}",
     )
     label_report = core_run["report"]
     ok &= report_line("4e steady label", label_report.label == "steady", label_report.label)
     steady_prop = {p.name: p.status for p in label_report.propositions}["steady-energy"]
     ok &= report_line(
         "4f static solutions have E < 0",
-        steady_prop == "pass" and rec0.energy_total < 0.0,
-        f"E = {rec0.energy_total:.6f}",
+        steady_prop == "pass" and energy < 0.0,
+        f"E = {energy:.6f}",
     )
     ok &= report_line("4g energy drift", energy_drift(sink) <= 1e-3,
                       f"{energy_drift(sink):.2e}")
@@ -290,12 +293,12 @@ def test_criterion_05_negative_energy_partial_dispersal(composite_run):
         "5b momentum window satisfied", build.double_inequality_ok,
         f"window ({build.momentum_window[0]:.4f}, {build.momentum_window[1]:.4f})",
     )
-    energy = sink.records[0].energy_total
+    energy = sink.records.energy[0]
     ok &= report_line("5c total energy negative", energy < 0.0, f"E = {energy:.6f}")
 
     var_ok = all(
-        (m0 + m) * rec.variance >= m * gs["shell"]["min_r"] ** 2 * (1.0 - 1e-12)
-        for rec, gs in zip(sink.records, sink.group_stats)
+        (m0 + m) * variance >= m * gs["shell"]["min_r"] ** 2 * (1.0 - 1e-12)
+        for variance, gs in zip(sink.records.variance, sink.group_stats)
     )
     ok &= report_line("5d variance dominates shell radius", var_ok,
                       "(M0+m) var >= m R1_shell^2 at every record")
@@ -321,19 +324,21 @@ def test_criterion_05_negative_energy_partial_dispersal(composite_run):
 
 
 def _dilation_residual(sink):
-    t = sink.times()
-    dil = sink.series("dilation_moment")
-    ekin = sink.series("energy_kinetic")
-    energy = sink.records[0].energy_total
+    table = sink.records
+    t = table.times
+    dil = table.dilation
+    ekin = table.energy_kinetic
+    energy = table.energy[0]
     ekin_mid = 0.5 * (ekin[1:] + ekin[:-1])
     lhs = np.diff(dil) / np.diff(t)
     return float(np.max(np.abs(lhs - (energy + ekin_mid)) / (abs(energy) + ekin_mid)))
 
 
 def _conformal_residual(sink):
-    t = sink.times()
-    conf = sink.series("conformal_moment")
-    epot = sink.series("energy_potential")
+    table = sink.records
+    t = table.times
+    conf = table.conformal
+    epot = table.energy_potential
     lhs = np.diff(conf) / np.diff(t)
     t_mid = 0.5 * (t[1:] + t[:-1])
     epot_mid = 0.5 * (epot[1:] + epot[:-1])
@@ -387,12 +392,12 @@ def _marginal_v(t):
 def test_criterion_07_virialization(shell_run, core_run):
     ok = True
 
-    sink = core_run["sink"]
-    rec0 = sink.records[0]
+    table = core_run["sink"].records
+    energy = table.energy[0]
     metric, _ = virialization_metric(
-        rec0.energy_total, TimeSeries(sink.times(), sink.series("energy_kinetic"))
+        energy, TimeSeries(table.times, table.energy_kinetic)
     )
-    eps = 1e-2 * (abs(rec0.energy_total) + rec0.energy_kinetic)
+    eps = 1e-2 * (abs(energy) + table.energy_kinetic[0])
     worst = float(np.max(np.abs(metric.values)))
     ok &= report_line("7a static core metric is zero", worst <= eps,
                       f"max |metric| = {worst:.2e} <= {eps:.2e}")
@@ -430,10 +435,10 @@ def test_criterion_07_virialization(shell_run, core_run):
         f"vs t_c = {t_c:.2f}",
     )
 
-    s3 = shell_run["sink"]
-    e3 = s3.records[0].energy_total
+    s3 = shell_run["sink"].records
+    e3 = s3.energy[0]
     m3, flag3 = virialization_metric(
-        e3, TimeSeries(s3.times(), s3.series("energy_kinetic"))
+        e3, TimeSeries(s3.times, s3.energy_kinetic)
     )
     ok &= report_line(
         "7d positive-energy shell never virialises",

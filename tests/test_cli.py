@@ -167,32 +167,10 @@ class TestRunCommand:
 
     def test_csv_round_trip_is_exact(self, shell_cfg, tmp_path):
         # shortest round-trip decimals: parsing back recovers the floats
-        import numpy as np
-
         csv_path = cmd_run(load_config(shell_cfg), str(tmp_path / "out"))
         parsed = read_diagnostics(csv_path)
         again = tmp_path / "again.csv"
-        from vpshell.ensemble import DiagnosticsRecord
-
-        records = [
-            DiagnosticsRecord(
-                time=parsed.times[i],
-                energy_total=parsed.energy[i],
-                energy_kinetic=parsed.energy_kinetic[i],
-                energy_potential=parsed.energy_potential[i],
-                mass=parsed.mass[i],
-                variance=parsed.variance[i],
-                dilation_moment=parsed.dilation[i],
-                conformal_moment=parsed.conformal[i],
-                inner_radius=parsed.inner_radius[i],
-                outer_radius=parsed.outer_radius[i],
-                inner_radius_shell=parsed.inner_radius_shell[i],
-                concentration=tuple((R, parsed.conc[R][i]) for R in sorted(parsed.conc)),
-                lq_norms=tuple((q, parsed.lq[q][i]) for q in sorted(parsed.lq)),
-            )
-            for i in range(parsed.times.size)
-        ]
-        write_diagnostics(str(again), records, sorted(parsed.conc), sorted(parsed.lq))
+        write_diagnostics(str(again), parsed, sorted(parsed.conc), sorted(parsed.lq))
         assert again.read_bytes() == open(csv_path, "rb").read()
 
 
@@ -278,7 +256,7 @@ class TestKurthCommand:
         csv = cmd_kurth(0.5, t_end, cadence, (5.0 / 3.0,), str(tmp_path))
         ensemble = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(ensemble, IntegratorConfig(t_end=t_end, output_cadence=cadence))
-        assert read_diagnostics(csv).times.tolist() == sink.times().tolist()
+        assert read_diagnostics(csv).times.tolist() == sink.records.times.tolist()
         # 3 * 0.1 rounds to 0.30000000000000004: the table stops at 0.3
         assert open(csv).read().splitlines()[-1].split(",")[0] == repr(t_end)
 

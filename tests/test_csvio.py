@@ -7,27 +7,19 @@ import random
 import numpy as np
 import pytest
 
+from conftest import FIELDS, assert_tables_bitwise_equal, table_columns
 from vpshell.csvio import (
+    ParsedRun,
     diagnostics_header,
     normalised,
     read_diagnostics,
-    records_table,
     write_diagnostics,
     write_snapshot,
 )
-from vpshell.ensemble import DiagnosticsRecord, Ensemble
+from vpshell.ensemble import Ensemble
 from vpshell.errors import ClassifyInputError
 
-FIELDS = (
-    "times", "energy", "energy_kinetic", "energy_potential", "mass", "variance",
-    "dilation", "conformal", "inner_radius", "outer_radius", "inner_radius_shell",
-)
-ATTRS = (
-    "time", "energy_total", "energy_kinetic", "energy_potential", "mass", "variance",
-    "dilation_moment", "conformal_moment", "inner_radius", "outer_radius",
-    "inner_radius_shell",
-)
-OPTIONAL = {"energy_kinetic", "energy_potential", "dilation_moment", "conformal_moment"}
+OPTIONAL = {"energy_kinetic", "energy_potential", "dilation", "conformal"}
 EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
          1.0, 3.0, -12.0, 1e16, 2.0**53)
 NON_FINITE = (None, math.nan, math.inf, -math.inf)
@@ -41,13 +33,11 @@ def cell(value):
     return repr(value) if math.isfinite(value) else ""
 
 
-def oracle_diagnostics(records, r_grid, q_list):
+def oracle_diagnostics(table, r_grid, q_list):
     lines = [diagnostics_header(r_grid, q_list)]
-    for rec in records:
-        conc, lq = dict(rec.concentration), dict(rec.lq_norms)
-        row = [cell(getattr(rec, attr)) for attr in ATTRS]
-        row += [cell(conc[R]) for R in r_grid] + [cell(lq[q]) for q in q_list]
-        lines.append(",".join(row))
+    columns = table_columns(table)
+    for i in range(len(table.times)):
+        lines.append(",".join(cell(None if col is None else col[i]) for col in columns))
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -64,21 +54,21 @@ def value(rng, missing):
     return rng.choice(NON_FINITE) if rng.random() < missing else finite(rng)
 
 
-def random_records(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0):
-    """Records whose optional cells are missing or non-finite with
-    probability `missing`, the required ones with `required_missing`."""
-    records = []
-    for _ in range(n):
-        cells = {
-            attr: value(rng, missing if attr in OPTIONAL else required_missing)
-            for attr in ATTRS
-        }
-        records.append(DiagnosticsRecord(
-            **cells,
-            concentration=tuple((R, value(rng, required_missing)) for R in r_grid),
-            lq_norms=tuple((q, value(rng, required_missing)) for q in q_list),
-        ))
-    return records
+def random_table(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0):
+    """A table of n rows whose optional cells are missing (NaN) or
+    non-finite with probability `missing`, the required ones with
+    `required_missing`; an optional column is None with probability
+    `missing`."""
+    def column(p):
+        return np.array([value(rng, p) for _ in range(n)], np.float64)
+
+    fixed = {
+        field: (None if rng.random() < missing else column(missing))
+        if field in OPTIONAL else column(required_missing)
+        for field in FIELDS
+    }
+    return ParsedRun(**fixed, conc={R: column(required_missing) for R in r_grid},
+                     lq={q: column(required_missing) for q in q_list})
 
 
 def random_grids(rng):
@@ -87,33 +77,15 @@ def random_grids(rng):
     return r_grid, q_list
 
 
-def same_column(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def assert_tables_bitwise_equal(a, b):
-    for field in FIELDS:
-        assert same_column(getattr(a, field), getattr(b, field)), field
-    for name in ("conc", "lq"):
-        left, right = getattr(a, name), getattr(b, name)
-        assert list(left) == list(right)
-        assert all(same_column(left[key], right[key]) for key in left), name
-
-
 def test_writer_bytes_equal_per_cell_oracle(tmp_path):
     rng = random.Random(20261019)
     path = tmp_path / "d.csv"
     for _ in range(40):
         r_grid, q_list = random_grids(rng)
-        records = random_records(rng, rng.randint(0, 30), r_grid, q_list,
-                                 missing=0.3, required_missing=0.1)
-        want = oracle_diagnostics(records, r_grid, q_list)
-        write_diagnostics(str(path), records, r_grid, q_list)
-        assert path.read_bytes() == want
-        write_diagnostics(str(path), records_table(records, r_grid, q_list), r_grid, q_list)
-        assert path.read_bytes() == want
+        table = random_table(rng, rng.randint(0, 30), r_grid, q_list,
+                             missing=0.3, required_missing=0.1)
+        write_diagnostics(str(path), table, r_grid, q_list)
+        assert path.read_bytes() == oracle_diagnostics(table, r_grid, q_list)
 
 
 def test_read_equals_normalised_table(tmp_path):
@@ -122,9 +94,8 @@ def test_read_equals_normalised_table(tmp_path):
     nones = 0
     for _ in range(40):
         r_grid, q_list = random_grids(rng)
-        records = random_records(rng, rng.randint(1, 30), r_grid, q_list,
-                                 missing=rng.choice((0.0, 0.05, 0.5)))
-        table = records_table(records, r_grid, q_list)
+        table = random_table(rng, rng.randint(1, 30), r_grid, q_list,
+                             missing=rng.choice((0.0, 0.05, 0.5)))
         write_diagnostics(str(path), table, r_grid, q_list)
         expected = normalised(table)
         parsed = read_diagnostics(str(path))
@@ -142,10 +113,9 @@ def test_required_non_finite_cell_raises_on_both_paths(bad, tmp_path):
     rng = random.Random(11)
     r_grid, q_list = (1.0, 2.0), (5.0 / 3.0,)
     path = tmp_path / "d.csv"
-    required = [f for f, a in zip(FIELDS, ATTRS) if a not in OPTIONAL]
+    required = [f for f in FIELDS if f not in OPTIONAL]
     for target in required + ["conc", "lq"]:
-        records = random_records(rng, 12, r_grid, q_list, missing=0.0)
-        table = records_table(records, r_grid, q_list)
+        table = random_table(rng, 12, r_grid, q_list, missing=0.0)
         row = rng.randrange(12)
         column = table.conc[2.0] if target == "conc" else (
             table.lq[5.0 / 3.0] if target == "lq" else getattr(table, target))

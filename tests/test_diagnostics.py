@@ -23,7 +23,7 @@ from vpshell.diagnostics import (
     _sorted_mass_profile,
     _workspace,
 )
-from conftest import random_ensemble
+from conftest import random_ensemble, table_columns
 
 
 def cumulative_mass(ensemble, r):
@@ -166,16 +166,15 @@ class TestContainerValidation:
     def test_long_group_label_kept(self, tmp_path):
         # a label longer than 16 characters survives the ensemble and the
         # snapshot file, and does not cut the "shell" label beside it
-        from vpshell.csvio import write_snapshot
-        from vpshell.diagnostics import diagnostics_record
+        from vpshell.csvio import diagnostics_header, write_snapshot
 
         label = "central_core_particles"
         e = Ensemble(0.0, [0.5, 2.0, 3.0], [0.0] * 3, [0.0] * 3, [1.0] * 3,
                      [label, "shell", "shell"])
         assert list(e.group) == [label, "shell", "shell"]
-        rec = diagnostics_record(e)
-        assert rec.inner_radius_shell == 2.0
-        assert rec.inner_radius == 0.5
+        rec = dict(zip(diagnostics_header((), ()).split(","), diagnostics_record(e)))
+        assert rec["R1_shell"] == 2.0
+        assert rec["R1"] == 0.5
         path = tmp_path / "snap.csv"
         write_snapshot(str(path), e)
         assert [row.split(",")[-1] for row in path.read_text().splitlines()[2:]] == [
@@ -583,6 +582,23 @@ class TestRadialProfile:
         with pytest.raises(DomainError):
             build_radial_profile(uniform_ball(100), n_bins)
 
+    @pytest.mark.parametrize("n_bins", [2.7, 4.5, True, False, np.True_], ids=repr)
+    def test_non_integral_bin_count_refused(self, n_bins):
+        # 2.7 used to truncate to 2 bins and True to 1; a config file
+        # refuses both, and so does the histogram
+        with pytest.raises(DomainError):
+            build_radial_profile(uniform_ball(100), n_bins)
+        with pytest.raises(DomainError):
+            diagnostics_record(uniform_ball(100), q_list=(2.0,), n_bins=n_bins)
+
+    @pytest.mark.parametrize("n_bins", [4.0, np.int64(4), np.float64(4.0)])
+    def test_integral_bin_count_of_any_type_accepted(self, n_bins):
+        ball = uniform_ball(100)
+        want = build_radial_profile(ball, 4)
+        prof = build_radial_profile(ball, n_bins)
+        assert prof.bin_edges.tobytes() == want.bin_edges.tobytes()
+        assert prof.bin_density.tobytes() == want.bin_density.tobytes()
+
     def test_empty_bin_zero_density(self):
         e = Ensemble(0.0, [0.1, 10.0], [0, 0], [0, 0], [1.0, 1.0])
         prof = build_radial_profile(e, 20)
@@ -740,8 +756,6 @@ class TestSortedMassProfile:
     def test_scrambled_run_equals_stable_run(self, argsort_kinds, monkeypatch):
         # an escaping shell scrambles its radii within a few steps; the
         # records must not depend on which argsort ordered them
-        import dataclasses
-
         import vpshell.dynamics as dynamics
         from vpshell import IntegratorConfig, ShellSpec, build_shell
 
@@ -751,7 +765,7 @@ class TestSortedMassProfile:
 
         def records():
             sink = dynamics.run(e, config, r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,))
-            return [dataclasses.astuple(rec) for rec in sink.records]
+            return [column.tobytes() for column in table_columns(sink.records)]
 
         chosen = records()
         assert None in argsort_kinds  # the default argsort ordered some steps

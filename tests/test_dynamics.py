@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from vpshell import (
     adaptive_dt,
     step,
 )
-from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, diagnostics_record
+from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, classify, diagnostics_record
+from vpshell.csvio import normalised, read_diagnostics, write_diagnostics
 from vpshell.dynamics import _raw_adaptive_dt, _selector, energy_drift, run
+from conftest import assert_tables_bitwise_equal, table_columns
 
 FOUR_PI = 4.0 * math.pi
 
@@ -190,9 +193,9 @@ class TestStep:
         # accuracy near the wall is the step-size controller's job
         e = Ensemble(0.0, [0.5], [-2.0], [0.3], [1e-12])
         sink = run(e, IntegratorConfig(t_end=2.0, output_cadence=0.05, dt_safety=0.05))
-        ekin = sink.series("energy_kinetic")
+        ekin = sink.records.energy_kinetic
         assert np.max(np.abs(ekin - ekin[0])) / ekin[0] < 1e-3
-        assert min(rec.inner_radius for rec in sink.records) > 0.1
+        assert min(sink.records.inner_radius) > 0.1
 
     def test_stiffness_error_when_dt_min_too_large(self):
         e = Ensemble(0.0, [0.5], [-2.0], [0.3], [1e-12])
@@ -288,18 +291,18 @@ class TestRun:
     def test_zero_horizon_single_record(self):
         e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=0.0, output_cadence=1.0))
-        assert len(sink.records) == 1
-        assert sink.records[0].time == 0.0
+        assert len(sink.records.times) == 1
+        assert sink.records.times[0] == 0.0
 
     def test_record_times_are_cadence_multiples(self):
         e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=2.0, output_cadence=0.5))
-        assert np.allclose(sink.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert np.allclose(sink.records.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_final_partial_record(self):
         e = Ensemble(0.0, [1.0], [0.1], [0.0], [1.0])
         sink = run(e, IntegratorConfig(t_end=1.3, output_cadence=0.5))
-        assert sink.times()[-1] == pytest.approx(1.3)
+        assert sink.records.times[-1] == pytest.approx(1.3)
 
     def test_snapshots_at_requested_times(self):
         e = Ensemble(0.0, [1.0], [0.5], [0.0], [1.0])
@@ -333,9 +336,9 @@ class TestRun:
         for times, between in cases:
             sink = run(e, cfg, r_grid=(1.0,), q_list=(2.0,), snapshot_times=times)
             assert [s.time for s in sink.snapshots] == sorted(times)
-            assert [rec.time for rec in sink.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+            assert sink.records.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
             if not between:
-                assert sink.records == plain
+                assert_tables_bitwise_equal(sink.records, plain)
         # outside [t0, t_end], or NaN, which no step could ever reach
         for bad in ((-0.5,), (2.5,), (math.nan,)):
             with pytest.raises(DomainError):
@@ -348,13 +351,13 @@ class TestRun:
         e = Ensemble(0.0, [0.5, 2.0], [0.0, 0.0], [0.0, ell], [1.0, 1e-6])
         cfg = IntegratorConfig(t_end=200.0, output_cadence=0.02, dt_safety=1.0)
         sink = run(e, cfg)
-        assert len(sink.records) > 10_000
+        assert len(sink.records.times) > 10_000
         assert energy_drift(sink) < 1e-6
 
     def test_mass_exactly_conserved(self):
         e = Ensemble(0.0, [1.0, 2.0], [0.3, -0.3], [0.1, 0.2], [0.25, 0.75])
         sink = run(e, IntegratorConfig(t_end=5.0, output_cadence=1.0))
-        masses = sink.series("mass")
+        masses = sink.records.mass
         assert np.all(masses == masses[0])
 
     def test_non_finite_step_raises_at_last_finite_time(self):
@@ -388,13 +391,21 @@ class TestRun:
         for _ in range(2):
             ens, _ = vpshell.build_shell(spec)
             sink = run(ens, cfg, r_grid=(1.0,), q_list=(5 / 3,))
-            outs.append(sink.series("variance"))
+            outs.append(sink.records.variance)
         assert np.array_equal(outs[0], outs[1])
 
 
 class TestRecordPath:
     """Records read the step's sort and raw arrays; they must equal what
     an Ensemble snapshot of the same state gives, bit for bit."""
+
+    @staticmethod
+    def assert_columns_equal_snapshot_rows(table, snapshots, **kw):
+        rows = np.array([diagnostics_record(snap, **kw) for snap in snapshots])
+        columns = table_columns(table)
+        assert len(columns) == rows.shape[1]
+        for column, expected in zip(columns, rows.T):
+            assert column.tobytes() == expected.tobytes()
 
     CFG = IntegratorConfig(t_end=10.0, output_cadence=1.0, dt_safety=0.05)
     TIMES = tuple(float(k) for k in range(11))
@@ -409,11 +420,27 @@ class TestRecordPath:
         ens = self.shell_plus_core()
         kw = {"r_grid": (1.0, 2.0, 4.0), "q_list": (5.0 / 3.0, 2.0)}
         sink = run(ens, self.CFG, snapshot_times=self.TIMES, **kw)
-        assert [s.time for s in sink.snapshots] == [rec.time for rec in sink.records]
-        for snap, rec in zip(sink.snapshots, sink.records):
-            assert repr(rec) == repr(diagnostics_record(snap, **kw))
+        assert [s.time for s in sink.snapshots] == sink.records.times.tolist()
+        self.assert_columns_equal_snapshot_rows(sink.records, sink.snapshots, **kw)
         plain = run(ens, self.CFG, **kw).records
-        assert repr(plain) == repr(sink.records)
+        assert_tables_bitwise_equal(plain, sink.records)
+
+    def test_table_is_what_its_file_reads_back(self, tmp_path):
+        # the simulator counterpart of the Kurth table: contiguous float64
+        # columns, bitwise equal to the read of the file written from
+        # them, and the same report from either
+        r_grid, q_list = (1.0, 2.0, 50.0), (5.0 / 3.0, 3.0)
+        table = run(self.shell_plus_core(), self.CFG, r_grid=r_grid, q_list=q_list).records
+        for column in table_columns(table):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics(str(path), table, r_grid, q_list)
+        parsed = read_diagnostics(str(path))
+        assert_tables_bitwise_equal(normalised(table), parsed)
+        args = (float(parsed.energy[0]), 0.0, float(parsed.mass[0]))
+        reports = [json.dumps(classify(t, *args).to_dict(), sort_keys=True)
+                   for t in (table, parsed)]
+        assert reports[0] == reports[1]
 
     def test_group_stats_equal_mask_formula_contiguous(self):
         ens = self.shell_plus_core()
@@ -434,9 +461,9 @@ class TestRecordPath:
         cfg = IntegratorConfig(t_end=2.0, output_cadence=0.5, dt_safety=0.05)
         sink = run(ens, cfg, snapshot_times=(0.0, 0.5, 1.0, 1.5, 2.0), r_grid=(1.0,))
         assert sorted(sink.group_stats[0]) == ["a", "b", "shell"]
-        for snap, stats, rec in zip(sink.snapshots, sink.group_stats, sink.records):
+        for snap, stats in zip(sink.snapshots, sink.group_stats):
             assert repr(stats) == repr(mask_group_stats(snap))
-            assert repr(rec) == repr(diagnostics_record(snap, r_grid=(1.0,)))
+        self.assert_columns_equal_snapshot_rows(sink.records, sink.snapshots, r_grid=(1.0,))
 
 
 class TestIdentities:
@@ -449,10 +476,10 @@ class TestIdentities:
         )
         ens, _ = vpshell.build_shell(spec)
         sink = run(ens, IntegratorConfig(t_end=20.0, output_cadence=0.25, dt_safety=0.05))
-        t = sink.times()
-        dil = sink.series("dilation_moment")
-        ekin = sink.series("energy_kinetic")
-        etot = sink.series("energy_total")
+        t = sink.records.times
+        dil = sink.records.dilation
+        ekin = sink.records.energy_kinetic
+        etot = sink.records.energy
         lhs = np.diff(dil) / np.diff(t)
         rhs = etot[0] + 0.5 * (ekin[1:] + ekin[:-1])
         scale = np.abs(etot[0]) + 0.5 * (ekin[1:] + ekin[:-1])
@@ -466,9 +493,9 @@ class TestIdentities:
         )
         ens, _ = vpshell.build_shell(spec)
         sink = run(ens, IntegratorConfig(t_end=20.0, output_cadence=0.25, dt_safety=0.05))
-        t = sink.times()
-        conf = sink.series("conformal_moment")
-        epot = sink.series("energy_potential")
+        t = sink.records.times
+        conf = sink.records.conformal
+        epot = sink.records.energy_potential
         lhs = np.diff(conf) / np.diff(t)
         rhs = np.diff(t**2 * 2.0 * epot) / np.diff(t) - (
             0.5 * (t[1:] + t[:-1]) * (epot[1:] + epot[:-1])

@@ -86,7 +86,7 @@ class TestBuildCircularCore:
         e = build_circular_core(CoreSpec(mass=1.0, radius=1.0, n=10_000, seed=4))
         t_dyn = dynamical_time(1.0, 1.0)
         sink = run(e, IntegratorConfig(t_end=20 * t_dyn, output_cadence=t_dyn))
-        var = sink.series("variance")
+        var = sink.records.variance
         assert (var.max() - var.min()) / var[0] < 1e-3
 
     @pytest.mark.parametrize("field", ["mass", "radius"])
@@ -165,7 +165,7 @@ class TestShellPlusCore:
     def test_variance_dominates_shell_radius(self):
         ens, _ = self.make(n_core=2_000, n_shell=500)
         sink = run(ens, IntegratorConfig(t_end=50.0, output_cadence=5.0))
-        for rec, gs in zip(sink.records, sink.group_stats):
-            lhs = 1.2 * rec.variance
+        for variance, gs in zip(sink.records.variance, sink.group_stats):
+            lhs = 1.2 * variance
             rhs = 0.2 * gs["shell"]["min_r"] ** 2
             assert lhs >= rhs * (1.0 - 1e-12)
