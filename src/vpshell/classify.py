@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import ParsedRun, _json_fields
 from .errors import DomainError
 
 __all__ = [
@@ -117,38 +118,13 @@ class ClassificationReport:
     notes: tuple = ()
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "statistically_dispersive": self.statistically_dispersive,
-            "growth_exponent": None
-            if self.growth is None
-            else {
-                "value": self.growth.exponent,
-                "band": self.growth.band,
-                "n_samples": self.growth.n_samples,
-                "window": list(self.growth.window),
-            },
-            "m_infinity": self.m_infinity,
-            "m_infinity_band": self.m_infinity_band,
-            "concentration_converged": self.concentration_converged,
-            "strong_decay_rate": self.strong_decay_rate,
-            "virialized": self.virialized,
-            "virial_metric_final": self.virial_metric_final,
-            "virial_metric_trace": [list(pair) for pair in self.virial_metric_trace],
-            "interpolation_ratio_max": self.interpolation_ratio_max,
-            "threshold_check": None
-            if self.threshold is None
-            else {
-                "E": self.threshold.energy,
-                "Q2_over_2M": self.threshold.q_sq_over_2m,
-                "relation": self.threshold.relation,
-            },
-            "propositions": [
-                {"name": p.name, "status": p.status, "detail": p.detail}
-                for p in self.propositions
-            ],
-            "notes": list(self.notes),
-        }
+        """The report.json payload: every field, under its JSON name."""
+        return _json_fields(self, _JSON_KEYS)
+
+
+# report.json names of the fields whose JSON key differs
+_JSON_KEYS = {"growth": "growth_exponent", "exponent": "value", "threshold": "threshold_check",
+              "energy": "E", "q_sq_over_2m": "Q2_over_2M"}
 
 
 def _linear_slope(x, y):
@@ -187,12 +163,6 @@ def growth_exponent(series: TimeSeries):
     return GrowthFit(slope, 2.0 * stderr, int(t.size), (float(t[0]), float(t[-1])))
 
 
-def _trend(series: TimeSeries):
-    """Plain least-squares slope of value against time (trailing data)."""
-    slope, _ = _linear_slope(series.times, series.values)
-    return slope
-
-
 def strong_dispersion_test(series: TimeSeries, q):
     """Does the L^q norm series decay to zero?
 
@@ -209,7 +179,7 @@ def strong_dispersion_test(series: TimeSeries, q):
     decayed = (
         initial > 0.0
         and series.values[-1] < EPS_STRONG_FRAC * initial
-        and _trend(tail) <= 0.0
+        and _linear_slope(tail.times, tail.values)[0] <= 0.0
     )
     fit = growth_exponent(series)
     rate = None if fit is None else fit.exponent
@@ -235,7 +205,7 @@ def concentration_limits(times, conc_by_radius, total_mass):
     for radius in radii:
         series = TimeSeries(times, conc_by_radius[radius]).trailing()
         span = series.times[-1] - series.times[0]
-        drift = abs(_trend(series)) * span
+        drift = abs(_linear_slope(series.times, series.values)[0]) * span
         per_radius[radius] = {
             "value": float(series.values.mean()),
             "converged": bool(drift <= MASS_TOL_FRAC * total_mass),
@@ -281,14 +251,10 @@ def virialization_metric(energy, ekin_series: TimeSeries):
     span = max(tail.times[-1] - tail.times[0], 1.0e-300)
     # small and not headed back up within another window of the same span
     flag = bool(
-        np.max(np.abs(tail.values)) <= eps and _trend_abs(tail) * span <= eps
+        np.max(np.abs(tail.values)) <= eps
+        and _linear_slope(tail.times, np.abs(tail.values))[0] * span <= eps
     )
     return metric, flag
-
-
-def _trend_abs(series: TimeSeries):
-    slope, _ = _linear_slope(series.times, np.abs(series.values))
-    return slope
 
 
 def _epot_vanishing(times, epot):
@@ -298,7 +264,8 @@ def _epot_vanishing(times, epot):
         return False
     fit = growth_exponent(series)
     decayed = series.values[-1] <= 0.1 * series.values[0]
-    trending = _trend(series.trailing()) <= 0.0
+    tail = series.trailing()
+    trending = _linear_slope(tail.times, tail.values)[0] <= 0.0
     steep = fit is not None and fit.exponent <= -0.3
     return bool(decayed and trending and steep)
 
@@ -414,16 +381,19 @@ def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes
     return tuple(checks)
 
 
-def classify(run_data, energy, momentum, total_mass):
-    """Full decision cascade over a parsed diagnostics table.
+def classify(run_data: ParsedRun, energy, momentum, total_mass):
+    """Full decision cascade over a run's table.
 
-    `run_data` needs attributes `times`, `variance`, `conc` (dict
-    radius -> array), `lq` (dict q -> array) and optionally
-    `energy_kinetic` / `energy_potential` arrays (None when a source
-    does not emit them).  `momentum` is |Q| (identically zero for the
-    reduced spherical representation, kept explicit for boosted
+    `run_data` is a `csvio.ParsedRun`; its optional columns
+    (`energy_kinetic`, `energy_potential`, `conformal`) are None when a
+    source does not emit them.  `momentum` is |Q| (identically zero for
+    the reduced spherical representation, kept explicit for boosted
     bookkeeping).  A non-finite energy, a negative |Q|, a total mass
     outside (0, inf) or a non-finite Q^2/(2M) raises DomainError.
+
+    The necessary condition E >= |Q|^2/(2M) gates the label: below it
+    the strong and total branches are skipped, with a note when one of
+    them would have fired.
     """
     momentum = float(momentum)
     if not (math.isfinite(energy) and momentum >= 0.0 and 0.0 < total_mass < math.inf):
@@ -431,22 +401,22 @@ def classify(run_data, energy, momentum, total_mass):
     momentum_term = momentum * momentum / (2.0 * total_mass)
     if not math.isfinite(momentum_term):
         raise DomainError(f"Q^2/(2M) is not finite for |Q| = {momentum!r}")
+    threshold = _threshold(energy, momentum_term)
     notes = []
     times = np.asarray(run_data.times, dtype=np.float64)
 
     if times.size < 10:
         return ClassificationReport(
-            label="undetermined",
-            threshold=_threshold(energy, momentum_term),
-            notes=("fewer than 10 samples",),
+            label="undetermined", threshold=threshold, notes=("fewer than 10 samples",)
         )
 
     var_series = TimeSeries(times, run_data.variance)
     growth = growth_exponent(var_series)
 
+    tail = var_series.trailing()
     stat_raw = bool(
         np.max(run_data.variance) >= STAT_GROWTH_FACTOR * run_data.variance[0]
-        and _trend(var_series.trailing()) > 0.0
+        and _linear_slope(tail.times, tail.values)[0] > 0.0
     )
 
     strong = False
@@ -463,9 +433,12 @@ def classify(run_data, energy, momentum, total_mass):
     conc = concentration_limits(times, run_data.conc, total_mass)
 
     label = None
-    if strong:
+    below = threshold.relation == "less"
+    if below and (strong or conc["regime"] == "total"):
+        notes.append("E < Q^2/2M: strong and total dispersion ruled out")
+    if strong and not below:
         label = "strongly-dispersive"
-    elif conc["regime"] == "total":
+    elif conc["regime"] == "total" and not below:
         label = "totally-dispersive"
     elif conc["regime"] == "partial":
         label = "partially-dispersive"
@@ -477,8 +450,8 @@ def classify(run_data, energy, momentum, total_mass):
             label = "periodic"
             notes.append(f"variance period ~ {period:.6g}")
 
-    ekin = getattr(run_data, "energy_kinetic", None)
-    epot = getattr(run_data, "energy_potential", None)
+    ekin = run_data.energy_kinetic
+    epot = run_data.energy_potential
     virialized = None
     metric_final = None
     metric_trace = ()
@@ -529,14 +502,14 @@ def classify(run_data, energy, momentum, total_mass):
         virial_metric_final=metric_final,
         virial_metric_trace=metric_trace,
         interpolation_ratio_max=ratio_max,
-        threshold=_threshold(energy, momentum_term),
+        threshold=threshold,
         propositions=propositions,
         notes=tuple(notes),
     )
 
 
 def _interpolation_ratio_max(run_data, times):
-    conformal = getattr(run_data, "conformal", None)
+    conformal = run_data.conformal
     q = 5.0 / 3.0
     if conformal is None or q not in run_data.lq:
         return None

@@ -27,6 +27,7 @@ from .config import (
 )
 from .csvio import (
     _fmt,
+    _json_fields,
     _write_json,
     normalised,
     read_diagnostics,
@@ -55,57 +56,46 @@ def _cast(name, caster, value):
         raise ConfigError(f"bad value for {name!r}: {exc}") from None
 
 
-def _build_scenario(config: RunConfig, seed):
-    def shell(seed):
-        return ShellSpec(
-            mass=config["shell.mass"], r_inner=config["shell.r_inner"],
-            r_outer=config["shell.r_outer"], w_min=config["shell.w_min"],
-            w_max=config["shell.w_max"], ell_min=config["shell.ell_min"],
-            ell_max=config["shell.ell_max"], n=config["shell.n"], seed=seed,
-        )
+# manifest.json names of the scenario report fields whose JSON key differs
+_SCENARIO_KEYS = {"margin_sq": "escape_margin_sq", "satisfied": "escape_condition_satisfied",
+                  "escape_satisfied": "escape_condition_satisfied"}
 
-    def core(seed):
-        return CoreSpec(mass=config["core.mass"], radius=config["core.radius"],
-                        n=config["core.n"], seed=seed)
+
+def _build_scenario(config: RunConfig, seed):
+    """The ensemble and the JSON scenario report of a simulator config;
+    each spec takes the config keys under its prefix as its fields."""
+    def spec(cls, prefix, seed):
+        fields = {key[len(prefix):]: value for key, value in config.values.items()
+                  if key.startswith(prefix)}
+        return cls(**fields, seed=seed)
 
     scenario = config.scenario
     if scenario == "shell":
-        ensemble, report = build_shell(shell(seed))
-        return ensemble, {
-            "escape_threshold": report.escape_threshold,
-            "escape_margin_sq": report.margin_sq,
-            "escape_condition_satisfied": report.satisfied,
-        }
-    if scenario == "core":
-        return build_circular_core(core(seed)), {}
-    if scenario == "shell_plus_core":
-        ensemble, report = build_shell_plus_core(core(seed), shell(seed + 1))
-        return ensemble, {
-            "escape_threshold": report.escape_threshold,
-            "total_energy": report.total_energy,
-            "core_energy": report.core_energy,
-            "shell_mass_max": report.shell_mass_max,
-            "momentum_window": list(report.momentum_window),
-            "double_inequality_ok": report.double_inequality_ok,
-            "escape_condition_satisfied": report.escape_satisfied,
-        }
-    raise ConfigError(f"scenario {scenario!r} is not a simulator scenario")
+        ensemble, report = build_shell(spec(ShellSpec, "shell.", seed))
+    elif scenario == "core":
+        return build_circular_core(spec(CoreSpec, "core.", seed)), {}
+    elif scenario == "shell_plus_core":
+        ensemble, report = build_shell_plus_core(
+            spec(CoreSpec, "core.", seed), spec(ShellSpec, "shell.", seed + 1))
+    else:
+        raise ConfigError(f"scenario {scenario!r} is not a simulator scenario")
+    return ensemble, _json_fields(report, _SCENARIO_KEYS)
 
 
-def cmd_run(config: RunConfig, out_dir, seed=None):
+def cmd_run(config: RunConfig, out_dir):
     """Execute one configured run; writes diagnostics.csv, snapshots and
     manifest.json into `out_dir`.  Returns the diagnostics path.
 
     A single run is sequential, so `run --threads` has no effect on it.
     """
-    return _run(config, out_dir, seed)[0]
+    return _run(config, out_dir)[0]
 
 
-def _run(config, out_dir, seed=None):
+def _run(config, out_dir):
     """`cmd_run`; returns the diagnostics path and the table written
     there."""
     os.makedirs(out_dir, exist_ok=True)
-    seed = config["seed"] if seed is None else int(seed)
+    seed = config["seed"]
     r_grid = config["r_grid"]
     q_list = config["q_list"]
     csv_path = os.path.join(out_dir, "diagnostics.csv")

@@ -82,11 +82,9 @@ _REQUIRED = {
     "shell": ("shell.mass", "shell.r_inner", "shell.r_outer", "shell.w_min",
               "shell.w_max", "shell.n"),
     "core": ("core.mass", "core.radius", "core.n"),
-    "shell_plus_core": ("shell.mass", "shell.r_inner", "shell.r_outer",
-                        "shell.w_min", "shell.w_max", "shell.n",
-                        "core.mass", "core.radius", "core.n"),
     "kurth": ("kurth.k",),
 }
+_REQUIRED["shell_plus_core"] = _REQUIRED["shell"] + _REQUIRED["core"]
 
 _DEFAULTS = {
     "seed": 0,
@@ -112,9 +110,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def replace(self, **overrides):
         merged = dict(self.values)
@@ -157,7 +152,7 @@ def parse_config(text):
     if "t_end" not in raw:
         raise ConfigError("missing required key 't_end'")
     for key in _REQUIRED[scenario]:
-        if key not in raw and key not in _DEFAULTS:
+        if key not in raw:
             raise ConfigError(f"scenario {scenario!r} requires key {key!r}")
 
     values = dict(_DEFAULTS)

@@ -25,6 +25,7 @@ so a run's normalised table equals the read of its file bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import platform
@@ -251,6 +252,14 @@ def write_manifest(path, command, config_values, seed, extra=None):
     if extra:
         manifest.update(extra)
     _write_json(path, manifest)
+
+
+def _json_fields(record, keys):
+    """`dataclasses.asdict(record)` with each field named `name` stored
+    under `keys.get(name, name)`, in nested dataclasses too."""
+    return dataclasses.asdict(
+        record, dict_factory=lambda items: {keys.get(k, k): v for k, v in items}
+    )
 
 
 def _write_json(path, data):

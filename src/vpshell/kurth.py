@@ -22,9 +22,10 @@ and the density tends to zero in every L^q with q > 1.
 `kurth_diagnostics` builds the family's table from those arrays; the
 leapfrog `integrate_phi` is the ODE oracle for the closed form.
 
-Closed-form evaluation uses the conic-orbit parametrisations.  Each
-implicit equation below has a strictly monotone left-hand side, so a
-safeguarded Newton iteration converges unconditionally.
+Closed-form evaluation uses the conic-orbit parametrisations.  The
+elliptic and hyperbolic equations below are implicit with a strictly
+monotone left-hand side, so a safeguarded Newton iteration converges
+unconditionally; the parabolic cubic is solved exactly.
 
 |k| < 1 (elliptic):
     phi = A - B cos(theta),  A = 1/(1-k^2),  B = |k|/(1-k^2),
@@ -32,8 +33,9 @@ safeguarded Newton iteration converges unconditionally.
     period T = 2 pi A / sqrt(1-k^2) = 2 pi (1-k^2)**-1.5, exactly
     (`kurth_period` returns this closed form).
 |k| = 1 (parabolic):
-    phi = (1 + v^2)/2,  v + v^3/3 = 2 t + (4/3) k,
-    so phi grows like t**(2/3).
+    phi = (1 + v^2)/2,  v + v^3/3 = s = 2 t + (4/3) k,
+    whose one real root is v = 2 sinh(asinh(1.5 s)/3); phi grows like
+    t**(2/3).
 |k| > 1 (hyperbolic):
     phi = (a cosh v - 1)/(a^2 - 1),  a = |k|,
     a sinh v - v = (a^2 - 1)**1.5 * (t - t0),
@@ -186,14 +188,11 @@ def _solve_monotone(f, fprime, lo, hi, x0):
 
 def _parabolic_state(t, k):
     s = 2.0 * t + (4.0 / 3.0) * k
-    bound = np.cbrt(3.0 * np.abs(s)) + 2.0
-    v = _solve_monotone(
-        lambda v: v + v**3 / 3.0 - s,
-        lambda v: 1.0 + v * v,
-        -bound,
-        bound,
-        np.cbrt(3.0 * s),
-    )
+    # |v| = 2 sinh(asinh(1.5 |s|) / 3) = c - 1/c; this form gives phi(0) = 1
+    # and so a first integral of 0 at t = 0 exactly
+    q = np.abs(1.5 * s)
+    c = np.cbrt(q + np.hypot(q, 1.0))
+    v = c - 1.0 / c
     phi = 0.5 * (1.0 + v * v)
     # phi' = v / phi with |v| = sqrt(2 phi - 1) from the returned phi;
     # v carries the sign of the cubic's right side

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from vpshell import kurth
 from vpshell.classify import (
     TimeSeries,
     check_propositions,
@@ -12,7 +15,9 @@ from vpshell.classify import (
     _detect_period,
 )
 from vpshell.csvio import ParsedRun
+from vpshell.dynamics import IntegratorConfig, _record_times, run
 from vpshell.errors import DomainError
+from vpshell.scenarios import ShellSpec, build_shell
 
 
 def make_run(times, variance, conc=None, lq=None, ekin=None, epot=None):
@@ -271,3 +276,125 @@ class TestClassifyCascade:
         report = classify(run, 0.5, 0.0, 1.0)
         assert report.label == "strongly-dispersive"
         assert report.statistically_dispersive
+
+
+def oracle_report_dict(report):
+    """The report.json payload, written out field by field: the
+    hand-kept serialisation that `ClassificationReport.to_dict` replaced."""
+    return {
+        "label": report.label,
+        "statistically_dispersive": report.statistically_dispersive,
+        "growth_exponent": None
+        if report.growth is None
+        else {
+            "value": report.growth.exponent,
+            "band": report.growth.band,
+            "n_samples": report.growth.n_samples,
+            "window": list(report.growth.window),
+        },
+        "m_infinity": report.m_infinity,
+        "m_infinity_band": report.m_infinity_band,
+        "concentration_converged": report.concentration_converged,
+        "strong_decay_rate": report.strong_decay_rate,
+        "virialized": report.virialized,
+        "virial_metric_final": report.virial_metric_final,
+        "virial_metric_trace": [list(pair) for pair in report.virial_metric_trace],
+        "interpolation_ratio_max": report.interpolation_ratio_max,
+        "threshold_check": None
+        if report.threshold is None
+        else {
+            "E": report.threshold.energy,
+            "Q2_over_2M": report.threshold.q_sq_over_2m,
+            "relation": report.threshold.relation,
+        },
+        "propositions": [
+            {"name": p.name, "status": p.status, "detail": p.detail}
+            for p in report.propositions
+        ],
+        "notes": list(report.notes),
+    }
+
+
+def report_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def kurth_label(k):
+    """The family's exact regime, as a classifier label."""
+    if k == 0.0:
+        return "steady"
+    return "periodic" if abs(k) < 1.0 else "strongly-dispersive"
+
+
+KURTH_SCAN_K = [i / 100 for i in range(-200, 201)]
+
+
+@pytest.fixture(scope="module", params=[400.0, 100.0], ids=["t400", "t100"])
+def kurth_scan(request):
+    """(k, report) for k = -2 ... 2 in steps of 0.01, each member's table
+    built with the kurth-sweep benchmark's settings (cadence 0.5,
+    r_grid 1,2,4,8, q_list 5/3,3) and classified with E from its first
+    row, as `vpshell classify` takes it, and M = 1."""
+    times = np.array(_record_times(0.0, request.param, 0.5))
+    reports = []
+    for k in KURTH_SCAN_K:
+        phi, phi_dot = kurth.phi_closed_form(times, k)
+        table = kurth.kurth_diagnostics(times, phi, phi_dot, (5.0 / 3.0, 3.0),
+                                        (1.0, 2.0, 4.0, 8.0))
+        reports.append((k, classify(table, float(table.energy[0]), 0.0, 1.0)))
+    return reports
+
+
+class TestNecessaryConditionGate:
+    def test_kurth_scan_labels_are_exact_or_undetermined(self, kurth_scan):
+        # a bound member whose expansion outlasts the horizon must not be
+        # labelled strongly or totally dispersive: E < 0 forbids both
+        wrong = [(k, r.label) for k, r in kurth_scan
+                 if r.label not in (kurth_label(k), "undetermined")]
+        assert wrong == []
+        failed = [(k, p.detail) for k, r in kurth_scan for p in r.propositions
+                  if p.name == "necessary-energy" and p.status == "fail"]
+        assert failed == []
+        # the marginal members (E = 0 exactly) keep their dispersive label
+        labels = dict(kurth_scan)
+        assert labels[1.0].label == labels[-1.0].label == "strongly-dispersive"
+
+    def test_note_only_when_a_branch_is_skipped(self, kurth_scan):
+        gated = {k for k, r in kurth_scan
+                 if any("ruled out" in note for note in r.notes)}
+        assert gated
+        assert all(0.0 < abs(k) < 1.0 for k in gated)
+        assert all(r.label != "strongly-dispersive" for k, r in kurth_scan if k in gated)
+
+    def test_decaying_norm_below_threshold(self):
+        t = np.linspace(0.0, 400.0, 300)
+        decaying = make_run(t, 0.6 * (1 + t) ** 2, conc={1.0: 1 / (1 + t), 4.0: 1 / (1 + t)},
+                            lq={5.0 / 3.0: 0.56 * (1 + t) ** -1.5})
+        assert classify(decaying, 0.5, 0.0, 1.0).label == "strongly-dispersive"
+        # |Q|^2/(2M) = 0.5 > E: neither strong nor total dispersion holds
+        report = classify(decaying, 0.25, 1.0, 1.0)
+        assert report.label not in ("strongly-dispersive", "totally-dispersive")
+        assert "E < Q^2/2M: strong and total dispersion ruled out" in report.notes
+
+
+class TestReportJson:
+    """`to_dict` derives from the dataclasses; the oracle spells it out."""
+
+    def test_kurth_scan(self, kurth_scan):
+        for k, report in kurth_scan:
+            assert report_json(report.to_dict()) == report_json(oracle_report_dict(report)), k
+
+    def test_simulator_report_with_virial_trace(self):
+        ensemble, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.5, w_min=0.2,
+                                            w_max=0.4, n=200, ell_max=0.1, seed=5))
+        table = run(ensemble, IntegratorConfig(t_end=20.0, output_cadence=0.5),
+                    r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,)).records
+        report = classify(table, float(table.energy[0]), 0.0, float(table.mass[0]))
+        assert len(report.virial_metric_trace) > 1
+        assert report.growth is not None and report.propositions
+        assert report_json(report.to_dict()) == report_json(oracle_report_dict(report))
+
+    def test_short_series_report(self):
+        report = classify(make_run(np.linspace(0, 5, 6), np.ones(6)), -0.5, 0.0, 1.0)
+        assert report.notes == ("fewer than 10 samples",)
+        assert report_json(report.to_dict()) == report_json(oracle_report_dict(report))

@@ -3,11 +3,17 @@ import math
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
-from vpshell.cli import cmd_classify, cmd_kurth, cmd_run, cmd_sweep, main
+from vpshell.cli import _build_scenario, cmd_classify, cmd_kurth, cmd_run, cmd_sweep, main
 from vpshell.config import load_config, parse_config
-from vpshell.csvio import diagnostics_header, read_diagnostics, write_diagnostics
+from vpshell.csvio import (
+    diagnostics_header,
+    read_diagnostics,
+    write_diagnostics,
+    write_manifest,
+)
 from vpshell.dynamics import IntegratorConfig, run
 from vpshell.ensemble import Ensemble
 from vpshell.errors import ClassifyInputError, ConfigError, DomainError
@@ -18,6 +24,7 @@ from vpshell.kurth import (
     kurth_variance,
     phi_closed_form,
 )
+from vpshell.scenarios import CoreSpec, ShellSpec, build_shell, build_shell_plus_core
 
 SHELL_CFG = """\
 # escaping shell, desk scale
@@ -43,6 +50,58 @@ output_cadence = 0.2
 r_grid = 1.0,4.0,8.0
 q_list = 1.6666666666666667
 """
+
+SHELL_PLUS_CORE_CFG = """\
+scenario = shell_plus_core
+seed = 3
+t_end = 1.0
+output_cadence = 0.5
+r_grid = 1.0,2.0
+core.mass = 1.0
+core.radius = 1.0
+core.n = 400
+shell.mass = 0.2
+shell.r_inner = 2.0
+shell.r_outer = 2.5
+shell.w_min = 0.42
+shell.w_max = 0.48
+shell.n = 100
+"""
+
+
+def oracle_build_scenario(config, seed):
+    """The ensemble and scenario report of a simulator config, with every
+    spec and report field written out: the hand-kept literals that the
+    derived `cli._build_scenario` replaced."""
+    def shell(seed):
+        return ShellSpec(
+            mass=config["shell.mass"], r_inner=config["shell.r_inner"],
+            r_outer=config["shell.r_outer"], w_min=config["shell.w_min"],
+            w_max=config["shell.w_max"], ell_min=config["shell.ell_min"],
+            ell_max=config["shell.ell_max"], n=config["shell.n"], seed=seed,
+        )
+
+    def core(seed):
+        return CoreSpec(mass=config["core.mass"], radius=config["core.radius"],
+                        n=config["core.n"], seed=seed)
+
+    if config.scenario == "shell":
+        ensemble, report = build_shell(shell(seed))
+        return ensemble, {
+            "escape_threshold": report.escape_threshold,
+            "escape_margin_sq": report.margin_sq,
+            "escape_condition_satisfied": report.satisfied,
+        }
+    ensemble, report = build_shell_plus_core(core(seed), shell(seed + 1))
+    return ensemble, {
+        "escape_threshold": report.escape_threshold,
+        "total_energy": report.total_energy,
+        "core_energy": report.core_energy,
+        "shell_mass_max": report.shell_mass_max,
+        "momentum_window": list(report.momentum_window),
+        "double_inequality_ok": report.double_inequality_ok,
+        "escape_condition_satisfied": report.escape_satisfied,
+    }
 
 
 def _die(job):
@@ -153,6 +212,23 @@ class TestRunCommand:
         assert manifest["config"]["scenario"] == "shell"
         assert manifest["scenario_report"]["escape_condition_satisfied"] is True
         assert "vpshell" in manifest["versions"]
+
+    @pytest.mark.parametrize("text", [
+        SHELL_CFG.format(t_end=1.0) + "shell.ell_max = 0.1\n", SHELL_PLUS_CORE_CFG,
+    ], ids=["shell", "shell_plus_core"])
+    def test_scenario_matches_field_by_field_oracle(self, text, tmp_path):
+        # the specs come from the config keys under each prefix and the
+        # report from its dataclass; both must equal the written-out forms
+        config = parse_config(text)
+        out_dir = tmp_path / "out"
+        cmd_run(config, str(out_dir))
+        ensemble, report = oracle_build_scenario(config, config["seed"])
+        write_manifest(str(tmp_path / "oracle.json"), "run", config.values, config["seed"],
+                       extra={"scenario_report": report})
+        assert (out_dir / "manifest.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+        built, _ = _build_scenario(config, config["seed"])
+        for name in ("r", "w", "ell", "mass", "group"):
+            assert np.array_equal(getattr(built, name), getattr(ensemble, name)), name
 
     def test_snapshots(self, tmp_path):
         path = tmp_path / "cfg"
@@ -288,6 +364,17 @@ class TestClassifyCommand:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["label"] == "steady"
         assert payload["threshold_check"]["E"] == pytest.approx(-0.6)
+
+    def test_bound_member_beyond_horizon_not_strongly_dispersive(self, tmp_path):
+        # k = 0.98 is periodic with E < 0, but its period (~797) outlasts
+        # the horizon and the density norm decays during the expansion
+        csv = cmd_kurth(0.98, 400.0, 0.5, (5.0 / 3.0, 3.0), str(tmp_path), (1, 2, 4, 8))
+        report = cmd_classify(csv, out_path=str(tmp_path / "report.json"))
+        assert report.label in ("periodic", "undetermined")
+        assert report.threshold.relation == "less"
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload == json.loads(json.dumps(report.to_dict()))
+        assert "E < Q^2/2M: strong and total dispersion ruled out" in payload["notes"]
 
     def test_truncated_series_undetermined(self, tmp_path):
         csv = cmd_kurth(1.0, 4.0, 1.0, (5.0 / 3.0,), str(tmp_path))

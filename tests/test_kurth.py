@@ -149,6 +149,24 @@ class TestParabolic:
         assert expected == pytest.approx(7.532546628658921, rel=1e-12)
         assert phi_closed_form(10.0, 1.0)[0][0] == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_cubic_residual(self, k):
+        # v = phi * phi' solves v + v^3/3 = 2t + (4/3)k to roundoff (the
+        # Newton solve it replaced stopped at 1e-12 relative steps)
+        t = np.concatenate((np.arange(0.0, 400.5, 0.5), np.logspace(-3, 6, 50)))
+        phi, phi_dot = phi_closed_form(t, k)
+        v = phi * phi_dot
+        s = 2.0 * t + (4.0 / 3.0) * k
+        assert np.max(np.abs(v + v**3 / 3.0 - s) / np.abs(s)) < 1e-14
+
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_marginal_energy_exact_at_start(self, k):
+        # the table's first row is E = 0 exactly, so the classifier sees
+        # the marginal member on the threshold, not below it
+        phi, phi_dot = phi_closed_form(0.0, k)
+        assert (phi[0], phi_dot[0]) == (1.0, k)
+        assert first_integral(phi, phi_dot)[0] == 0.0
+
     def test_two_thirds_power_growth(self):
         t = np.logspace(2, 4, 200)
         slope = np.polyfit(np.log(t), np.log(phi_closed_form(t, 1.0)[0]), 1)[0]
