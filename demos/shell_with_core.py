@@ -34,12 +34,14 @@ def main():
         IntegratorConfig(t_end=400.0, output_cadence=2.0, dt_safety=0.05),
         r_grid=r_grid,
         q_list=(5.0 / 3.0,),
+        snapshot_times=[50.0 * j for j in range(9)],
     )
 
+    # every 25th record time carries a snapshot; group_stats reduces it
     print(" t      R1_shell   core E_kin   core <r^2>   mass in ball R=8")
     table = sink.records
-    for k in range(0, len(table.times), 25):
-        gs = sink.group_stats[k]
+    for k, snap in zip(range(0, len(table.times), 25), sink.snapshots):
+        gs = vp.group_stats(snap)
         print(
             f"{table.times[k]:6.1f}  {gs['shell']['min_r']:9.2f}  {gs['core']['kinetic']:.8f}"
             f"  {gs['core']['variance']:.8f}   {table.conc[8.0][k]:.6f}"

@@ -26,7 +26,8 @@ from .diagnostics import (
     statistical_dispersion,
     total_energy,
 )
-from .dynamics import IntegratorConfig, TrajectorySink, acceleration, adaptive_dt, run, step
+from .dynamics import (IntegratorConfig, TrajectorySink, acceleration, adaptive_dt,
+                       group_stats, run, step)
 from .ensemble import Ensemble, RadialDensityProfile
 from .errors import (
     ClassifyInputError,

@@ -187,48 +187,38 @@ def strong_dispersion_test(series: TimeSeries, q):
 
 
 def concentration_limits(times, conc_by_radius, total_mass):
-    """Trailing-window estimates of the concentration limits M(R).
+    """Trailing-window estimate of the concentration limit at large R.
 
-    `conc_by_radius` maps ball radius to the series of best-centred
-    masses.  Each M(R) is the trailing average, flagged non-converged
-    when the trailing trend would move it by more than MASS_TOL_FRAC * M
-    over the window.  The limit at large R is the plateau of the two
-    largest radii; the regime is "total" when it vanishes (below
-    MASS_TOL_FRAC * M), "none" when it recovers the whole mass, "partial"
-    in between, and None when the plateau has not converged.
+    Only the two largest radii of `conc_by_radius` (ball radius -> series
+    of best-centred masses) are read.  The limit is the mean of their
+    trailing averages; it has converged when neither trailing trend moves
+    its average by more than MASS_TOL_FRAC * M over the window and the
+    two agree within PLATEAU_TOL_FRAC * M.  The regime is "total" below
+    MASS_TOL_FRAC * M, "none" above (1 - MASS_TOL_FRAC) * M, "partial" in
+    between, and None when the limit has not converged.
     """
-    radii = sorted(conc_by_radius)
-    if len(radii) < 2:
-        return {"per_radius": {}, "m_infinity": None, "band": None, "regime": None,
-                "converged": False}
-    per_radius = {}
-    for radius in radii:
-        series = TimeSeries(times, conc_by_radius[radius]).trailing()
-        span = series.times[-1] - series.times[0]
-        drift = abs(_linear_slope(series.times, series.values)[0]) * span
-        per_radius[radius] = {
-            "value": float(series.values.mean()),
-            "converged": bool(drift <= MASS_TOL_FRAC * total_mass),
-        }
-    top = radii[-2:]
-    top_vals = [per_radius[rad]["value"] for rad in top]
-    converged = all(per_radius[rad]["converged"] for rad in top)
-    plateau = abs(top_vals[1] - top_vals[0]) <= PLATEAU_TOL_FRAC * total_mass
-    if not (converged and plateau):
-        return {"per_radius": per_radius, "m_infinity": None, "band": None,
-                "regime": None, "converged": False}
-    m_inf = 0.5 * (top_vals[0] + top_vals[1])
-    band = abs(top_vals[1] - top_vals[0]) + 2.0 * float(
-        np.std(TimeSeries(times, conc_by_radius[top[-1]]).trailing().values)
+    not_converged = {"m_infinity": None, "band": None, "regime": None, "converged": False}
+    top = sorted(conc_by_radius)[-2:]
+    if len(top) < 2:
+        return not_converged
+    tails = [TimeSeries(times, conc_by_radius[radius]).trailing() for radius in top]
+    low, high = (float(tail.values.mean()) for tail in tails)
+    steady = all(
+        abs(_linear_slope(tail.times, tail.values)[0]) * (tail.times[-1] - tail.times[0])
+        <= MASS_TOL_FRAC * total_mass
+        for tail in tails
     )
+    if not (steady and abs(high - low) <= PLATEAU_TOL_FRAC * total_mass):
+        return not_converged
+    m_inf = 0.5 * (low + high)
+    band = abs(high - low) + 2.0 * float(np.std(tails[1].values))
     if m_inf <= MASS_TOL_FRAC * total_mass:
         regime = "total"
     elif m_inf >= (1.0 - MASS_TOL_FRAC) * total_mass:
         regime = "none"
     else:
         regime = "partial"
-    return {"per_radius": per_radius, "m_infinity": float(m_inf),
-            "band": float(band), "regime": regime, "converged": True}
+    return {"m_infinity": m_inf, "band": band, "regime": regime, "converged": True}
 
 
 def virialization_metric(energy, ekin_series: TimeSeries):
@@ -322,8 +312,9 @@ def _is_flat(values):
     return float(values.max() - values.min()) <= 1.0e-2 * scale
 
 
-def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes):
-    """Consistency checks tying the label to the conserved quantities.
+def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes):
+    """Consistency checks tying the label to the conserved quantities,
+    read from the E vs |Q|^2/(2M) `threshold` that `classify` decided.
 
     A failed implication signals a simulation or classification bug,
     never new physics:
@@ -337,7 +328,8 @@ def check_propositions(energy, momentum_sq_over_2m, label, growth, epot_vanishes
     * steady and periodic energy bounds: E < 0, resp. E < -|Q|^2/(2M).
     """
     checks = []
-    relation = _threshold(energy, momentum_sq_over_2m).relation
+    energy, momentum_sq_over_2m = threshold.energy, threshold.q_sq_over_2m
+    relation = threshold.relation
     strong_or_total = label in ("strongly-dispersive", "totally-dispersive")
 
     if strong_or_total:
@@ -401,7 +393,8 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
     momentum_term = momentum * momentum / (2.0 * total_mass)
     if not math.isfinite(momentum_term):
         raise DomainError(f"Q^2/(2M) is not finite for |Q| = {momentum!r}")
-    threshold = _threshold(energy, momentum_term)
+    ekin = run_data.energy_kinetic
+    threshold = _threshold(energy, momentum_term, 0.0 if ekin is None else abs(ekin[0]))
     notes = []
     times = np.asarray(run_data.times, dtype=np.float64)
 
@@ -450,7 +443,6 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
             label = "periodic"
             notes.append(f"variance period ~ {period:.6g}")
 
-    ekin = run_data.energy_kinetic
     epot = run_data.energy_potential
     virialized = None
     metric_final = None
@@ -488,7 +480,7 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
         notes.append(f"interpolation ratio bounded by {ratio_max:.4g}")
 
     epot_vanishes = None if epot is None else _epot_vanishing(times, epot)
-    propositions = check_propositions(energy, momentum_term, label, growth, epot_vanishes)
+    propositions = check_propositions(threshold, label, growth, epot_vanishes)
 
     return ClassificationReport(
         label=label,
@@ -520,8 +512,10 @@ def _interpolation_ratio_max(run_data, times):
     return float(np.max(ratio))
 
 
-def _threshold(energy, momentum_term):
-    scale = abs(energy) + abs(momentum_term) + 1.0e-300
+def _threshold(energy, momentum_term, ekin0):
+    # |E_kin(0)| floors the scale: an E that is 0 in exact arithmetic
+    # reads "equal" whatever the sign of its rounding
+    scale = abs(energy) + abs(momentum_term) + ekin0 + 1.0e-300
     if energy > momentum_term + 1.0e-12 * scale:
         relation = "greater"
     elif energy < momentum_term - 1.0e-12 * scale:

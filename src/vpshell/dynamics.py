@@ -50,6 +50,7 @@ __all__ = [
     "step",
     "adaptive_dt",
     "run",
+    "group_stats",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -95,14 +96,12 @@ class TrajectorySink:
 
     `records` is the run's `csvio.ParsedRun`, one row per record time;
     every column is a contiguous float64 array, as `read_diagnostics`
-    builds them.  `group_stats` holds, per record, per-group scalars
-    that do not fit the table (minimum radius and radial momentum,
-    kinetic energy, variance).
+    builds them.  `snapshots` holds the `Ensemble` at each requested
+    snapshot time; `group_stats` reduces one to per-group scalars.
     """
 
     records: ParsedRun
     snapshots: list = field(default_factory=list)
-    group_stats: list = field(default_factory=list)
 
 
 def _raw_acceleration(r, ell, mass):
@@ -141,15 +140,13 @@ def _raw_adaptive_dt(r, w, accel, config):
     return min(max(dt, config.dt_min), config.output_cadence)
 
 
-def adaptive_dt(ensemble: Ensemble, config: IntegratorConfig, accel=None):
+def adaptive_dt(ensemble: Ensemble, config: IntegratorConfig):
     """Deterministic step suggestion from the current state.
 
     dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
     clamped to [dt_min, output_cadence].
     """
-    if accel is None:
-        accel = acceleration(ensemble)
-    return _raw_adaptive_dt(ensemble.r, ensemble.w, accel, config)
+    return _raw_adaptive_dt(ensemble.r, ensemble.w, acceleration(ensemble), config)
 
 
 def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
@@ -225,6 +222,14 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     return _state(ensemble.time + dt, r, w, ell, mass, ensemble.group)
 
 
+def group_stats(ensemble: Ensemble):
+    """Per-group minimum radius and radial momentum, mass, variance and
+    kinetic energy of a snapshot, keyed by each non-empty label."""
+    selectors = {str(name): _selector(ensemble.group == name)
+                 for name in np.unique(ensemble.group) if name != ""}
+    return _group_stats(ensemble.r, ensemble.w, ensemble.ell, ensemble.mass, selectors)
+
+
 def _group_stats(r, w, ell, mass, selectors):
     stats = {}
     for name, sel in selectors.items():
@@ -295,10 +300,7 @@ def run(
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
-    selectors = {
-        str(name): _selector(group == name) for name in np.unique(group) if name != ""
-    }
-    shell = selectors.get("shell")
+    shell = _selector(group == "shell")
     work = _workspace(r.size) if len(r_grid) else None
     # one row per column, so each table column is a contiguous row
     block = np.empty((len(FIXED_COLUMNS) + len(r_grid) + len(q_list), len(record_times)))
@@ -332,7 +334,6 @@ def run(
         block[:, k] = diagnostics_record(
             raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile
         )
-        sink.group_stats.append(_group_stats(r, w, ell, mass, selectors))
     return sink
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import kinetic_energy, potential_energy
+from .diagnostics import total_energy
 from .ensemble import Ensemble
 from .errors import DomainError
 
@@ -204,8 +204,8 @@ def build_shell_plus_core(core_spec: CoreSpec, shell_spec: ShellSpec):
     m0 = core_spec.mass
     m = shell_spec.mass
     r1 = shell_spec.r_inner
-    e_core = kinetic_energy(core) - potential_energy(core)
-    e_total = kinetic_energy(combined) - potential_energy(combined)
+    e_core = total_energy(core)
+    e_total = total_energy(combined)
     threshold_sq = (m0 + m) / (2.0 * math.pi * r1)
     disc = m0 * m0 - 16.0 * math.pi * e_core * r1
     m_max = 0.5 * (-m0 + math.sqrt(disc)) if disc > 0.0 else 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from vpshell import kurth
 from vpshell.classify import (
+    ThresholdCheck,
     TimeSeries,
     check_propositions,
     classify,
@@ -77,6 +78,10 @@ class TestConcentrationLimits:
         out = concentration_limits(t, conc, 1.0)
         assert out["regime"] == "partial"
         assert out["m_infinity"] == pytest.approx(0.5, abs=1e-2)
+        # only the two largest radii decide: a smaller one, here still
+        # trending, is not read
+        assert sorted(out) == ["band", "converged", "m_infinity", "regime"]
+        assert concentration_limits(t, {0.5: 0.5 + 0.004 * t, **conc}, 1.0) == out
 
     def test_no_dispersal(self):
         t = np.linspace(0.0, 100.0, 60)
@@ -152,38 +157,44 @@ class TestPeriodDetector:
 
 
 class TestCheckPropositions:
+    """`classify` decides the E vs |Q|^2/(2M) check once and passes it."""
+
+    ABOVE = ThresholdCheck(0.5, 0.0, "greater")
+    BELOW = ThresholdCheck(-0.5, 0.0, "less")
+
     def status(self, checks, name):
         return {c.name: c.status for c in checks}[name]
 
     def test_dispersive_label_requires_energy_above_threshold(self):
-        checks = check_propositions(0.5, 0.0, "strongly-dispersive", None, True)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", None, True)
         assert self.status(checks, "necessary-energy") == "pass"
-        bad = check_propositions(-0.5, 0.0, "totally-dispersive", None, True)
+        bad = check_propositions(self.BELOW, "totally-dispersive", None, True)
         assert self.status(bad, "necessary-energy") == "fail"
 
     def test_variance_growth_check(self):
         from vpshell.classify import GrowthFit
 
         good = GrowthFit(1.95, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(0.5, 0.0, "strongly-dispersive", good, True)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", good, True)
         assert self.status(checks, "variance-growth") == "pass"
         slow = GrowthFit(1.3, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(0.5, 0.0, "strongly-dispersive", slow, True)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", slow, True)
         assert self.status(checks, "variance-growth") == "fail"
         # E = Q^2/2M exactly: the t^2 bound does not apply
-        checks = check_propositions(0.0, 0.0, "strongly-dispersive", slow, True)
+        checks = check_propositions(ThresholdCheck(0.0, 0.0, "equal"), "strongly-dispersive", slow,
+                                    True)
         assert self.status(checks, "variance-growth") == "not-applicable"
 
     def test_field_energy_equivalence(self):
-        checks = check_propositions(0.5, 0.0, "partially-dispersive", None, False)
+        checks = check_propositions(self.ABOVE, "partially-dispersive", None, False)
         assert self.status(checks, "field-energy-equivalence") == "pass"
-        bad = check_propositions(0.5, 0.0, "partially-dispersive", None, True)
+        bad = check_propositions(self.ABOVE, "partially-dispersive", None, True)
         assert self.status(bad, "field-energy-equivalence") == "fail"
 
     def test_steady_needs_negative_energy(self):
-        ok = check_propositions(-0.1, 0.0, "steady", None, False)
+        ok = check_propositions(ThresholdCheck(-0.1, 0.0, "less"), "steady", None, False)
         assert self.status(ok, "steady-energy") == "pass"
-        bad = check_propositions(0.1, 0.0, "steady", None, False)
+        bad = check_propositions(ThresholdCheck(0.1, 0.0, "greater"), "steady", None, False)
         assert self.status(bad, "steady-energy") == "fail"
 
 
@@ -375,6 +386,17 @@ class TestNecessaryConditionGate:
         report = classify(decaying, 0.25, 1.0, 1.0)
         assert report.label not in ("strongly-dispersive", "totally-dispersive")
         assert "E < Q^2/2M: strong and total dispersion ruled out" in report.notes
+
+    def test_vanishing_energy_rounding_does_not_gate(self):
+        # E = 0 in exact arithmetic, rounded to -1e-17: with |E_kin(0)| in
+        # the energy scale the relation is "equal", not a rounding sign
+        t = np.linspace(0.0, 400.0, 300)
+        decaying = make_run(t, 0.6 * (1 + t) ** 2, conc={1.0: 1 / (1 + t), 4.0: 1 / (1 + t)},
+                            lq={5.0 / 3.0: 0.56 * (1 + t) ** -1.5}, ekin=np.full(t.size, 0.5))
+        report = classify(decaying, -1.0e-17, 0.0, 1.0)
+        assert report.threshold.relation == "equal"
+        assert report.label == "strongly-dispersive"
+        assert not any("ruled out" in note for note in report.notes)
 
 
 class TestReportJson:

@@ -12,6 +12,7 @@ from vpshell import (
     StiffnessError,
     acceleration,
     adaptive_dt,
+    group_stats,
     step,
 )
 from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, classify, diagnostics_record
@@ -442,13 +443,24 @@ class TestRecordPath:
                    for t in (table, parsed)]
         assert reports[0] == reports[1]
 
+    def test_run_computes_no_group_stats(self, monkeypatch):
+        # group statistics are a snapshot diagnostic: the advance loop
+        # never reduces the groups, whatever the run writes
+        def refuse(*args):
+            raise AssertionError("run() computed group statistics")
+
+        monkeypatch.setattr("vpshell.dynamics._group_stats", refuse)
+        sink = run(self.shell_plus_core(), self.CFG, r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,),
+                   snapshot_times=(0.0, 5.0, 10.0))
+        assert len(sink.records.times) == 11 and len(sink.snapshots) == 3
+
     def test_group_stats_equal_mask_formula_contiguous(self):
         ens = self.shell_plus_core()
         assert all(isinstance(_selector(ens.group == g), slice) for g in ("core", "shell"))
         sink = run(ens, self.CFG, snapshot_times=self.TIMES)
-        assert len(sink.group_stats) == len(sink.snapshots) == 11
-        for snap, stats in zip(sink.snapshots, sink.group_stats):
-            assert repr(stats) == repr(mask_group_stats(snap))
+        assert len(sink.snapshots) == 11
+        for snap in sink.snapshots:
+            assert repr(group_stats(snap)) == repr(mask_group_stats(snap))
 
     def test_group_stats_equal_mask_formula_interleaved(self):
         rng = np.random.default_rng(4)
@@ -460,9 +472,9 @@ class TestRecordPath:
         assert _selector(group == "nobody") is None
         cfg = IntegratorConfig(t_end=2.0, output_cadence=0.5, dt_safety=0.05)
         sink = run(ens, cfg, snapshot_times=(0.0, 0.5, 1.0, 1.5, 2.0), r_grid=(1.0,))
-        assert sorted(sink.group_stats[0]) == ["a", "b", "shell"]
-        for snap, stats in zip(sink.snapshots, sink.group_stats):
-            assert repr(stats) == repr(mask_group_stats(snap))
+        assert sorted(group_stats(sink.snapshots[0])) == ["a", "b", "shell"]
+        for snap in sink.snapshots:
+            assert repr(group_stats(snap)) == repr(mask_group_stats(snap))
         self.assert_columns_equal_snapshot_rows(sink.records, sink.snapshots, r_grid=(1.0,))
 
 

@@ -12,10 +12,11 @@ from vpshell import (
     build_shell,
     build_shell_plus_core,
     dynamical_time,
+    group_stats,
     kinetic_energy,
     potential_energy,
 )
-from vpshell.dynamics import run
+from vpshell.dynamics import _record_times, run
 
 
 class TestBuildShell:
@@ -153,19 +154,20 @@ class TestShellPlusCore:
 
     def test_interior_untouched_while_shell_recedes(self):
         ens, report = self.make(n_core=5_000, n_shell=1_000)
-        sink = run(ens, IntegratorConfig(t_end=50.0, output_cadence=2.0))
-        core_stats = [gs["core"] for gs in sink.group_stats]
+        sink = run(ens, IntegratorConfig(t_end=50.0, output_cadence=2.0),
+                   snapshot_times=_record_times(0.0, 50.0, 2.0))
+        core_stats = [group_stats(snap)["core"] for snap in sink.snapshots]
         ekin = np.array([s["kinetic"] for s in core_stats])
         var = np.array([s["variance"] for s in core_stats])
         assert (ekin.max() - ekin.min()) / ekin[0] < 0.01
         assert (var.max() - var.min()) / var[0] < 0.01
-        shell_r1 = np.array([gs["shell"]["min_r"] for gs in sink.group_stats])
+        shell_r1 = sink.records.inner_radius_shell
         assert np.all(np.diff(shell_r1) > 0.0)
 
     def test_variance_dominates_shell_radius(self):
         ens, _ = self.make(n_core=2_000, n_shell=500)
         sink = run(ens, IntegratorConfig(t_end=50.0, output_cadence=5.0))
-        for variance, gs in zip(sink.records.variance, sink.group_stats):
+        for variance, r1 in zip(sink.records.variance, sink.records.inner_radius_shell):
             lhs = 1.2 * variance
-            rhs = 0.2 * gs["shell"]["min_r"] ** 2
+            rhs = 0.2 * r1 ** 2
             assert lhs >= rhs * (1.0 - 1e-12)
