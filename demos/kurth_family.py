@@ -11,7 +11,7 @@ import numpy as np
 from vpshell.classify import TimeSeries, growth_exponent
 from vpshell.kurth import (
     classify_k,
-    integrate_phi,
+    first_integral,
     kurth_energy,
     kurth_lq_norm,
     kurth_period,
@@ -38,16 +38,15 @@ def main():
         phi, _ = phi_closed_form(np.array([t]), 1.5)
         print(f"  t = {t:6.0f}: phi = {phi[0]:9.2f}   |rho|_q = {kurth_lq_norm(phi[0], 5/3):.2e}")
 
-    print("\ndirect integration against the closed form (k = 1):")
-    traj = integrate_phi(1.0, 50.0)
-    phi, _ = phi_closed_form(traj.t, 1.0)
-    print(f"  max relative difference over [0, 50]: {np.max(np.abs(traj.phi - phi) / phi):.2e}")
+    print("\nmarginal member k = 1 in closed form:")
+    t = np.linspace(0.0, 50.0, 501)
+    phi, phi_dot = phi_closed_form(t, 1.0)
+    print(f"  max |first integral| over [0, 50]: {np.max(np.abs(first_integral(phi, phi_dot))):.2e}")
 
     T = kurth_period(0.5)
-    traj = integrate_phi(0.5, T)
+    phi, phi_dot = phi_closed_form(T, 0.5)
     print(f"\nperiodic member k = 0.5: after one period T = {T:.5f}")
-    print(f"  phi returns to {traj.phi[-1]:.8f}, rate to {traj.phi_dot[-1]:.8f}")
-
+    print(f"  phi returns to {phi[0]:.8f}, rate to {phi_dot[0]:.8f}")
 
 if __name__ == "__main__":
     main()

@@ -19,29 +19,24 @@ from .diagnostics import (
     conformal_moment,
     diagnostics_record,
     dilation_moment,
-    galilean_shift,
     kinetic_energy,
     lq_norm,
     potential_energy,
     statistical_dispersion,
     total_energy,
 )
-from .dynamics import (IntegratorConfig, TrajectorySink, acceleration, adaptive_dt,
-                       group_stats, run, step)
+from .dynamics import IntegratorConfig, TrajectorySink, acceleration, group_stats, run, step
 from .ensemble import Ensemble, RadialDensityProfile
 from .errors import (
     ClassifyInputError,
     ConfigError,
     DomainError,
     NumericalError,
-    SingularityError,
     StiffnessError,
 )
 from .kurth import (
-    KurthTrajectory,
     classify_k,
     first_integral,
-    integrate_phi,
     kurth_diagnostics,
     kurth_energy,
     kurth_period,

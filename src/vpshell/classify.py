@@ -143,13 +143,8 @@ def _linear_slope(x, y):
     return slope, math.sqrt(var / sxx)
 
 
-def growth_exponent(series: TimeSeries):
-    """Power-law exponent of the trailing half of a positive series.
-
-    Returns None (not applicable) when there are fewer than 10 usable
-    samples, the positive times span less than a decade, or any value
-    in the fit window is non-positive.
-    """
+def _fit_window(series: TimeSeries):
+    """(t, v) of the window that `growth_exponent` fits, or None."""
     pos = series.times > 0.0
     t = series.times[pos]
     v = series.values[pos]
@@ -159,8 +154,31 @@ def growth_exponent(series: TimeSeries):
     t, v = t[start:], v[start:]
     if np.any(v <= 0.0):
         return None
+    return t, v
+
+
+def growth_exponent(series: TimeSeries):
+    """Power-law exponent of the trailing half of a positive series.
+
+    Returns None (not applicable) when there are fewer than 10 usable
+    samples, the positive times span less than a decade, or any value
+    in the fit window is non-positive.
+    """
+    window = _fit_window(series)
+    if window is None:
+        return None
+    t, v = window
     slope, stderr = _linear_slope(np.log(t), np.log(v))
     return GrowthFit(slope, 2.0 * stderr, int(t.size), (float(t[0]), float(t[-1])))
+
+
+def _half_exponents(series: TimeSeries):
+    """Power-law exponents of the two halves of the `growth_exponent`
+    fit window (which must exist)."""
+    t, v = _fit_window(series)
+    x, y = np.log(t), np.log(v)
+    mid = x.size // 2
+    return _linear_slope(x[:mid], y[:mid])[0], _linear_slope(x[mid:], y[mid:])[0]
 
 
 def strong_dispersion_test(series: TimeSeries, q):
@@ -312,7 +330,7 @@ def _is_flat(values):
     return float(values.max() - values.min()) <= 1.0e-2 * scale
 
 
-def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes):
+def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes, variance):
     """Consistency checks tying the label to the conserved quantities,
     read from the E vs |Q|^2/(2M) `threshold` that `classify` decided.
 
@@ -322,7 +340,11 @@ def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes):
     * necessary-energy: a totally or strongly dispersive label requires
       E >= |Q|^2 / (2M);
     * variance-growth: E > |Q|^2 / (2M) forces the variance exponent
-      into 2 +- EXPONENT_TOL;
+      into 2 +- EXPONENT_TOL once the fit has converged.  On a miss the
+      `variance` series that `growth` fits is read: when the exponents
+      of its fit window's two halves differ by more than the fit's
+      band, the t^2 regime has not arrived within the horizon, and the
+      check is not-applicable with both exponents in its detail;
     * field-energy-equivalence: a totally/strongly dispersive label is
       equivalent to the field energy decaying to zero;
     * steady and periodic energy bounds: E < 0, resp. E < -|Q|^2/(2M).
@@ -345,10 +367,16 @@ def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes):
             checks.append(PropositionCheck(
                 "variance-growth", "fail", "no usable variance fit"))
         else:
-            ok = abs(growth.exponent - 2.0) <= EXPONENT_TOL
-            checks.append(PropositionCheck(
-                "variance-growth", "pass" if ok else "fail",
-                f"exponent={growth.exponent:.4f}"))
+            status, detail = "pass", f"exponent={growth.exponent:.4f}"
+            if abs(growth.exponent - 2.0) > EXPONENT_TOL:
+                early, late = _half_exponents(variance)
+                # a drift at rounding level counts as converged
+                if abs(late - early) > growth.band + 1.0e-9:
+                    status = "not-applicable"
+                    detail += f", not converged: halves {early:.4f} then {late:.4f}"
+                else:
+                    status = "fail"
+            checks.append(PropositionCheck("variance-growth", status, detail))
     else:
         checks.append(PropositionCheck("variance-growth", "not-applicable"))
 
@@ -480,7 +508,7 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
         notes.append(f"interpolation ratio bounded by {ratio_max:.4g}")
 
     epot_vanishes = None if epot is None else _epot_vanishing(times, epot)
-    propositions = check_propositions(threshold, label, growth, epot_vanishes)
+    propositions = check_propositions(threshold, label, growth, epot_vanishes, var_series)
 
     return ClassificationReport(
         label=label,

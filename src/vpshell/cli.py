@@ -144,8 +144,7 @@ def cmd_kurth(k, t_end, cadence, q_list, out_dir, r_grid=(1.0, 2.0, 4.0)):
         "r_grid": tuple(_cast("r_grid", _parse_float, r) for r in r_grid),
         "seed": 0,
     }
-    _validated({**_DEFAULTS, **values})
-    return cmd_run(RunConfig("kurth", values), out_dir)
+    return cmd_run(_validated({**_DEFAULTS, **values}), out_dir)
 
 
 def cmd_classify(csv_path, energy=None, momentum=0.0, mass=None, out_path=None):

@@ -27,7 +27,6 @@ __all__ = [
     "concentration_function",
     "build_radial_profile",
     "lq_norm",
-    "galilean_shift",
     "diagnostics_record",
 ]
 
@@ -326,21 +325,6 @@ def lq_norm(profile: RadialDensityProfile, q):
     dr = np.diff(edges)
     total = np.sum(FOUR_PI * mid**2 * dr * profile.bin_density**q)
     return float(total ** (1.0 / q))
-
-
-def galilean_shift(E, Q, M, u):
-    """Energy and momentum after a boost by velocity u.
-
-    Returns (E', Q') with Q' = Q - M u and E' = E - Q.u + (1/2) M |u|^2.
-    The combination E - |Q|^2 / (2M) is invariant.
-    """
-    if M <= 0.0:
-        raise DomainError("mass must be positive")
-    Q = np.asarray(Q, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    Q_shift = Q - M * u
-    E_shift = float(E - np.dot(Q, u) + 0.5 * M * float(np.dot(u, u)))
-    return E_shift, Q_shift
 
 
 def diagnostics_record(

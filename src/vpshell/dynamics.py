@@ -48,7 +48,6 @@ __all__ = [
     "TrajectorySink",
     "acceleration",
     "step",
-    "adaptive_dt",
     "run",
     "group_stats",
 ]
@@ -132,21 +131,17 @@ def acceleration(ensemble: Ensemble):
 
 
 def _raw_adaptive_dt(r, w, accel, config):
+    """Deterministic step suggestion from the current state.
+
+    dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
+    clamped to [dt_min, output_cadence].
+    """
     # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
     dt_kin = np.min(r / (np.abs(w) + eps))
     dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
     dt = config.dt_safety * float(np.minimum(dt_kin, dt_dyn))
     return min(max(dt, config.dt_min), config.output_cadence)
-
-
-def adaptive_dt(ensemble: Ensemble, config: IntegratorConfig):
-    """Deterministic step suggestion from the current state.
-
-    dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
-    clamped to [dt_min, output_cadence].
-    """
-    return _raw_adaptive_dt(ensemble.r, ensemble.w, acceleration(ensemble), config)
 
 
 def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):

@@ -15,10 +15,6 @@ class NumericalError(RuntimeError):
         self.time = time
 
 
-class SingularityError(NumericalError):
-    """A trajectory reached r = 0 in a configuration that cannot be continued."""
-
-
 class StiffnessError(NumericalError):
     """Step-size control collapsed below the minimum admissible step."""
 

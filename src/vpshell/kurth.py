@@ -19,8 +19,13 @@ is a breathing (time periodic) ball, |k| >= 1 expands without bound
 and the density tends to zero in every L^q with q > 1.
 
 `phi_closed_form(t, k)` gives phi and phi' for any finite k, and
-`kurth_diagnostics` builds the family's table from those arrays; the
-leapfrog `integrate_phi` is the ODE oracle for the closed form.
+`kurth_diagnostics` builds the family's table from those arrays.  The
+family is also an exact solution of the shell simulator: a uniform
+ball of circular-orbit shells of mass M and radius a, given
+w = k r / T_D with T_D = `scenarios.dynamical_time(M, a)`, moves
+homologously, r_i(t) = phi(t / T_D) r_i(0), and its shells never cross.
+The tests run that ball through `dynamics.run` as the oracle of the
+integrator.
 
 Closed-form evaluation uses the conic-orbit parametrisations.  The
 elliptic and hyperbolic equations below are implicit with a strictly
@@ -58,19 +63,16 @@ simulator's E_kin and E_pot of a sampled static ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import ParsedRun
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 __all__ = [
-    "KurthTrajectory",
     "kurth_energy",
     "first_integral",
     "classify_k",
-    "integrate_phi",
     "phi_closed_form",
     "kurth_period",
     "kurth_variance",
@@ -78,15 +80,6 @@ __all__ = [
     "kurth_concentration",
     "kurth_diagnostics",
 ]
-
-
-@dataclass(frozen=True)
-class KurthTrajectory:
-    """Sampled (t, phi, phi') arrays from one integration."""
-
-    t: np.ndarray
-    phi: np.ndarray
-    phi_dot: np.ndarray
 
 
 def kurth_energy(k):
@@ -107,57 +100,6 @@ def classify_k(k):
     if abs(k) < 1.0:
         return "periodic"
     return "dispersive"
-
-
-def _default_dt(k):
-    # Fixed step per trajectory keeps the integrator symplectic, which
-    # bounds the first-integral error instead of letting it drift.  The
-    # step shrinks with the analytic minimum radius, where the
-    # oscillation frequency peaks.
-    if abs(k) < 1.0 or k <= -1.0:
-        phi_min = 1.0 / (1.0 + abs(k))
-    else:
-        phi_min = 1.0
-    return 1.0e-4 * min(1.0, phi_min * phi_min)
-
-
-def integrate_phi(k, t_end):
-    """Leapfrog integration of phi'' = (1 - phi)/phi^3 from (1, k).
-
-    The step is fixed per trajectory (see `_default_dt`); at that step
-    the first integral drifts by less than 1e-8 (relative) per unit
-    time.  Samples are stored roughly every 0.01, always including
-    t = 0 and exactly t = t_end.
-    """
-    if t_end < 0.0:
-        raise DomainError("t_end must be >= 0")
-    dt = _default_dt(k)
-    output_cadence = 0.01
-
-    phi = 1.0
-    pd = float(k)
-    t = 0.0
-    acc = (1.0 - phi) / phi**3
-    times = [0.0]
-    phis = [phi]
-    pds = [pd]
-    next_out = output_cadence
-    while t < t_end - 1.0e-15 * max(1.0, t_end):
-        h = dt if t + dt <= t_end else t_end - t
-        pd_half = pd + 0.5 * h * acc
-        phi = phi + h * pd_half
-        if phi <= 1.0e-9:
-            raise SingularityError("dilation radius collapsed to zero", time=t)
-        acc = (1.0 - phi) / (phi * phi * phi)
-        pd = pd_half + 0.5 * h * acc
-        t += h
-        if t >= next_out - 1.0e-12 or t >= t_end - 1.0e-15 * max(1.0, t_end):
-            times.append(t)
-            phis.append(phi)
-            pds.append(pd)
-            while next_out <= t + 1.0e-12:
-                next_out += output_cadence
-    return KurthTrajectory(np.array(times), np.array(phis), np.array(pds))
 
 
 def _solve_monotone(f, fprime, lo, hi, x0):

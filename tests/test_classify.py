@@ -166,35 +166,64 @@ class TestCheckPropositions:
         return {c.name: c.status for c in checks}[name]
 
     def test_dispersive_label_requires_energy_above_threshold(self):
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", None, True)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", None, True, None)
         assert self.status(checks, "necessary-energy") == "pass"
-        bad = check_propositions(self.BELOW, "totally-dispersive", None, True)
+        bad = check_propositions(self.BELOW, "totally-dispersive", None, True, None)
         assert self.status(bad, "necessary-energy") == "fail"
 
     def test_variance_growth_check(self):
         from vpshell.classify import GrowthFit
 
         good = GrowthFit(1.95, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", good, True)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", good, True, None)
         assert self.status(checks, "variance-growth") == "pass"
         slow = GrowthFit(1.3, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", slow, True)
+        t = np.linspace(0.0, 100.0, 101)
+        series = TimeSeries(t, 0.6 * t**1.3)  # a miss reads its series
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", slow, True, series)
         assert self.status(checks, "variance-growth") == "fail"
         # E = Q^2/2M exactly: the t^2 bound does not apply
         checks = check_propositions(ThresholdCheck(0.0, 0.0, "equal"), "strongly-dispersive", slow,
-                                    True)
+                                    True, series)
         assert self.status(checks, "variance-growth") == "not-applicable"
 
+    TIMES = np.array(_record_times(0.0, 400.0, 0.5))
+
+    def variance_check(self, values):
+        series = TimeSeries(self.TIMES, values)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", growth_exponent(series),
+                                    True, series)
+        return {c.name: c for c in checks}["variance-growth"]
+
+    def test_unconverged_variance_fit_not_applicable(self):
+        # exact Kurth k = 1.05: the fitted exponent 1.75 misses 2 while the
+        # exponents of the window's two halves still differ by 0.02
+        phi, _ = kurth.phi_closed_form(self.TIMES, 1.05)
+        check = self.variance_check(kurth.kurth_variance(phi))
+        assert check.status == "not-applicable"
+        assert check.detail.startswith("exponent=1.7473, not converged: halves ")
+        early, late = (float(word) for word in check.detail.split()[-3::2])
+        assert late - early > 0.01
+
+    def test_converged_slow_growth_still_fails(self):
+        # negative control: variance growing like t (or t^1.3) at E > 0
+        # has two equal half-window exponents, so the miss is a failure
+        for values in (0.6 * self.TIMES, 0.6 * self.TIMES**1.3):
+            assert self.variance_check(values).status == "fail"
+        run = make_run(self.TIMES, 0.6 * self.TIMES)
+        checks = {c.name: c.status for c in classify(run, 0.5, 0.0, 1.0).propositions}
+        assert checks["variance-growth"] == "fail"
+
     def test_field_energy_equivalence(self):
-        checks = check_propositions(self.ABOVE, "partially-dispersive", None, False)
+        checks = check_propositions(self.ABOVE, "partially-dispersive", None, False, None)
         assert self.status(checks, "field-energy-equivalence") == "pass"
-        bad = check_propositions(self.ABOVE, "partially-dispersive", None, True)
+        bad = check_propositions(self.ABOVE, "partially-dispersive", None, True, None)
         assert self.status(bad, "field-energy-equivalence") == "fail"
 
     def test_steady_needs_negative_energy(self):
-        ok = check_propositions(ThresholdCheck(-0.1, 0.0, "less"), "steady", None, False)
+        ok = check_propositions(ThresholdCheck(-0.1, 0.0, "less"), "steady", None, False, None)
         assert self.status(ok, "steady-energy") == "pass"
-        bad = check_propositions(ThresholdCheck(0.1, 0.0, "greater"), "steady", None, False)
+        bad = check_propositions(ThresholdCheck(0.1, 0.0, "greater"), "steady", None, False, None)
         assert self.status(bad, "steady-energy") == "fail"
 
 
@@ -363,12 +392,22 @@ class TestNecessaryConditionGate:
         wrong = [(k, r.label) for k, r in kurth_scan
                  if r.label not in (kurth_label(k), "undetermined")]
         assert wrong == []
-        failed = [(k, p.detail) for k, r in kurth_scan for p in r.propositions
-                  if p.name == "necessary-energy" and p.status == "fail"]
+        failed = [(k, p.name, p.detail) for k, r in kurth_scan for p in r.propositions
+                  if p.status == "fail"]
         assert failed == []
         # the marginal members (E = 0 exactly) keep their dispersive label
         labels = dict(kurth_scan)
         assert labels[1.0].label == labels[-1.0].label == "strongly-dispersive"
+
+    def test_unconverged_variance_fits_are_not_applicable(self, kurth_scan):
+        # just above |k| = 1 the t^2 regime arrives after the horizon: the
+        # local exponent still rises across the fit window
+        skipped = [(k, p.status, p.detail) for k, r in kurth_scan for p in r.propositions
+                   if p.name == "variance-growth" and r.threshold.relation == "greater"
+                   and p.status != "pass"]
+        assert skipped
+        assert all(status == "not-applicable" and "not converged: halves" in detail
+                   for _, status, detail in skipped), skipped
 
     def test_note_only_when_a_branch_is_skipped(self, kurth_scan):
         gated = {k for k, r in kurth_scan

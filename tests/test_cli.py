@@ -348,6 +348,19 @@ class TestKurthCommand:
             cmd_run(config, str(tmp_path))
         assert not (tmp_path / "diagnostics.csv").exists()
 
+    def test_same_files_as_run_of_same_config(self, tmp_path):
+        # `kurth` validates the defaults it fills in and writes them to
+        # the manifest, as `run` does for a config file
+        assert main(["kurth", "--k", "0.5", "--t-end", "10", "--cadence", "0.5",
+                     "--out", str(tmp_path / "kurth")]) == 0
+        cfg = tmp_path / "kurth.cfg"
+        cfg.write_text("scenario = kurth\nkurth.k = 0.5\nt_end = 10\noutput_cadence = 0.5\n"
+                       "r_grid = 1.0,2.0,4.0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        for name in ("manifest.json", "diagnostics.csv"):
+            kurth, ran = (tmp_path / side / name for side in ("kurth", "run"))
+            assert kurth.read_bytes() == ran.read_bytes(), name
+
     def test_simulator_columns_empty(self, tmp_path):
         csv = cmd_kurth(1.0, 5.0, 1.0, (5.0 / 3.0,), str(tmp_path))
         parsed = read_diagnostics(csv)

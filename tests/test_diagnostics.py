@@ -11,7 +11,6 @@ from vpshell import (
     conformal_moment,
     diagnostics_record,
     dilation_moment,
-    galilean_shift,
     kinetic_energy,
     lq_norm,
     potential_energy,
@@ -23,7 +22,7 @@ from vpshell.diagnostics import (
     _sorted_mass_profile,
     _workspace,
 )
-from conftest import random_ensemble, table_columns
+from conftest import galilean_shift, random_ensemble, table_columns
 
 
 def cumulative_mass(ensemble, r):

@@ -11,14 +11,14 @@ from vpshell import (
     NumericalError,
     StiffnessError,
     acceleration,
-    adaptive_dt,
     group_stats,
     step,
 )
 from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, classify, diagnostics_record
 from vpshell.csvio import normalised, read_diagnostics, write_diagnostics
 from vpshell.dynamics import _raw_adaptive_dt, _selector, energy_drift, run
-from conftest import assert_tables_bitwise_equal, table_columns
+from vpshell.kurth import phi_closed_form
+from conftest import FIELDS, assert_tables_bitwise_equal, homologous_ball, table_columns
 
 FOUR_PI = 4.0 * math.pi
 
@@ -247,19 +247,22 @@ class TestAdaptiveDt:
         ell = circular_ell(2.0, 3.0)
         e = Ensemble(0.0, [0.5, 2.0], [0.0, 0.0], [0.0, ell], [3.0, 1e-9])
         cfg = IntegratorConfig(t_end=1.0, output_cadence=0.25)
-        assert adaptive_dt(e, cfg) == 0.25
+        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg) == 0.25
 
     def test_linear_in_safety(self):
         e = Ensemble(0.0, [1.0, 2.0], [0.5, -0.1], [0.0, 0.2], [1.0, 1.0])
-        lo = adaptive_dt(e, IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.05))
-        hi = adaptive_dt(e, IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.1))
+        accel = acceleration(e)
+        lo = _raw_adaptive_dt(e.r, e.w, accel,
+                              IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.05))
+        hi = _raw_adaptive_dt(e.r, e.w, accel,
+                              IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.1))
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
     def test_fast_inner_particle_dominates(self):
         e = Ensemble(0.0, [0.01, 10.0], [5.0, 0.0], [0.0, 0.0], [1.0, 1.0])
         cfg = IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=1.0)
         # r/|w| of the inner particle = 0.002
-        assert adaptive_dt(e, cfg) == pytest.approx(0.002, rel=1e-6)
+        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg) == pytest.approx(0.002, rel=1e-6)
 
     def test_bitwise_equal_to_two_array_formula(self):
         # sqrt is monotone and correctly rounded, so one sqrt of the
@@ -515,3 +518,65 @@ class TestIdentities:
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(scale, 0.02 * np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs - rhs) / scale) < 0.02
+
+
+class TestHomologousBall:
+    """Kurth's uniform ball through `run()`: the exactly homologous
+    sample of `homologous_ball` has var(t) = var(0) phi(t/T_D)^2."""
+
+    # about 10x the error max|var/(var(0) phi^2) - 1| measured at N = 200
+    # to t = 40 T_D, at dt_safety 0.1 and 0.05 (6.4e-2/2.6e-2,
+    # 4.2e-3/8.1e-4, 4.5e-4/1.3e-4 and 5.2e-3/1.2e-3)
+    BOUNDS = {0.5: (0.6, 0.25), 1.0: (4e-2, 8e-3), 1.5: (4.5e-3, 1.3e-3),
+              -1.2: (5e-2, 1.2e-2)}
+
+    @staticmethod
+    def error(k, dt_safety):
+        ensemble, t_d = homologous_ball(200, k)
+        config = IntegratorConfig(t_end=40.0 * t_d, output_cadence=0.5 * t_d,
+                                  dt_safety=dt_safety)
+        table = run(ensemble, config).records
+        phi, _ = phi_closed_form(table.times / t_d, k)
+        return float(np.max(np.abs(table.variance / (table.variance[0] * phi**2) - 1.0)))
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, -1.2])
+    def test_variance_follows_closed_form(self, k):
+        coarse, fine = self.BOUNDS[k]
+        assert self.error(k, 0.1) <= coarse
+        assert self.error(k, 0.05) <= fine
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.5, -1.2])
+    def test_halving_dt_safety_halves_error(self, k):
+        # measured 2.5-5.2x; the steps that land on record times cut the
+        # second order, so no 4x is asked
+        assert self.error(k, 0.1) >= 2.0 * self.error(k, 0.05)
+
+
+class TestGravitationalScaling:
+    """r -> 2r, t -> 4t, w -> w/2, ell -> ell, m -> m/2 maps solutions to
+    solutions; every factor is a power of 2, so the map is exact in
+    floating point and the scaled run's table is the scaled table."""
+
+    SCALE = {"times": 4.0, "energy": 0.125, "energy_kinetic": 0.125,
+             "energy_potential": 0.125, "mass": 0.5, "variance": 4.0, "dilation": 0.5,
+             "conformal": 2.0, "inner_radius": 2.0, "outer_radius": 2.0,
+             "inner_radius_shell": 2.0}
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_scaled_run_is_scaled_table(self, seed):
+        core = CoreSpec(mass=1.0, radius=1.0, n=400, seed=seed)
+        shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
+                          n=100, seed=seed + 1)
+        ens = build_shell_plus_core(core, shell)[0]
+        big = Ensemble(0.0, 2.0 * ens.r, 0.5 * ens.w, ens.ell, 0.5 * ens.mass, ens.group)
+        r_grid = (0.5, 1.0, 2.0, 50.0)
+        table = run(ens, IntegratorConfig(t_end=10.0, output_cadence=0.5, dt_initial=0.1,
+                                          dt_safety=0.05), r_grid=r_grid).records
+        scaled = run(big, IntegratorConfig(t_end=40.0, output_cadence=2.0, dt_initial=0.4,
+                                           dt_safety=0.05),
+                     r_grid=tuple(2.0 * R for R in r_grid)).records
+        for field in FIELDS:
+            expected = self.SCALE[field] * getattr(table, field)
+            assert expected.tobytes() == getattr(scaled, field).tobytes(), field
+        for R, conc in table.conc.items():
+            assert (0.5 * conc).tobytes() == scaled.conc[2.0 * R].tobytes(), R

@@ -7,12 +7,12 @@ from vpshell import DomainError
 from vpshell.kurth import (
     classify_k,
     first_integral,
-    integrate_phi,
     kurth_diagnostics,
     kurth_energy,
     kurth_period,
     phi_closed_form,
 )
+from conftest import integrate_phi
 
 
 def kinetic_scaled(phi, phi_dot):
