@@ -13,11 +13,13 @@ lines end with LF, so identical runs produce byte-identical files.
 
 `ParsedRun` is a run's one table from builder to label; `table_of`
 wraps a block whose rows are its columns in header order, as `run()`
-fills one and `read_diagnostics` parses one.  `_rows`
-formats it a row at a time: `",".join(map(repr, row))` over the stacked
-float columns, then the texts `nan`, `-inf` and `inf` are deleted.  A
-finite float's repr holds no letter but `e`, so the deletion leaves
-every finite cell as `_fmt` writes it.  The column rule (`normalised`)
+fills one and `read_diagnostics` parses one.  `_blocks` formats it
+`_BLOCK` rows at a time, each block written straight to the file.  In a
+block, a cell whose bits equal those of the cell above it reuses that
+cell's text (a Kurth table's empty, mass and inner radius columns hold
+one value each), so only a run's first cell goes through `repr`, and a
+non-finite one is written empty.  Equality is on bits, so `-0.0` keeps
+its sign and every cell is as `_fmt` writes it.  The column rule (`normalised`)
 makes a column with a missing or non-finite cell None if it is optional
 and a ClassifyInputError if it is required; the reader applies it too,
 so a run's normalised table equals the read of its file bit for bit.
@@ -67,8 +69,8 @@ FIXED_COLUMNS = tuple(column for column, _, _ in _SCHEMA)
 
 _FIELDS = tuple(field for _, field, _ in _SCHEMA)
 
-# rows formatted per block, so a large table never becomes one list
-_BLOCK = 4096
+# rows formatted and written per block, so a table never becomes one string
+_BLOCK = 256
 
 
 def _fmt(value):
@@ -79,17 +81,24 @@ def _fmt(value):
     return repr(value) if math.isfinite(value) else ""
 
 
-def _rows(columns):
-    """Text of each row of equal-length columns, every cell as `_fmt`
-    writes it (see the module docstring)."""
+def _blocks(columns):
+    """The rows of equal-length float columns, one iterator of row texts
+    per block, every cell as `_fmt` writes it (see the module docstring)."""
     table = np.column_stack(columns)
-    for start in range(0, len(table), _BLOCK):
-        for row in table[start : start + _BLOCK].tolist():
-            text = ",".join(map(repr, row))
-            # only "nan" and "inf" hold an "n"
-            if "n" in text:
-                text = text.replace("nan", "").replace("-inf", "").replace("inf", "")
-            yield text
+    for begin in range(0, len(table), _BLOCK):
+        block = table[begin : begin + _BLOCK]
+        bits = block.view(np.int64)
+        start = np.ones(block.shape, bool)
+        np.not_equal(bits[1:], bits[:-1], out=start[1:])
+        values = block[start]
+        texts = list(map(repr, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = ""
+        # a cell takes the text of the last run start at or above it
+        rank = np.zeros(block.shape, np.intp)
+        rank[start] = np.arange(len(values))
+        cells = map(texts.__getitem__, np.maximum.accumulate(rank).ravel().tolist())
+        yield map(",".join, zip(*[cells] * table.shape[1]))
 
 
 def diagnostics_header(r_grid, q_list):
@@ -142,9 +151,10 @@ def write_diagnostics(path, table, r_grid, q_list):
     columns = [empty if values is None else values for values in columns]
     columns += [table.conc[radius] for radius in r_grid]
     columns += [table.lq[q] for q in q_list]
-    lines = [diagnostics_header(r_grid, q_list), *_rows(columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(diagnostics_header(r_grid, q_list) + "\n")
+        for rows in _blocks(columns):
+            handle.write("\n".join(rows) + "\n")
 
 
 def _column(values, name, needed):
@@ -225,11 +235,11 @@ def read_diagnostics(path):
 
 def write_snapshot(path, ensemble):
     """Particle table at one time: r,w,ell,mass,group rows."""
-    lines = [f"# t = {_fmt(ensemble.time)}", "r,w,ell,mass,group"]
-    cells = _rows((ensemble.r, ensemble.w, ensemble.ell, ensemble.mass))
-    lines += [f"{row},{group}" for row, group in zip(cells, ensemble.group.tolist())]
+    groups = iter(ensemble.group.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"# t = {_fmt(ensemble.time)}\nr,w,ell,mass,group\n")
+        for rows in _blocks((ensemble.r, ensemble.w, ensemble.ell, ensemble.mass)):
+            handle.write("".join(f"{row},{group}\n" for row, group in zip(rows, groups)))
 
 
 def write_manifest(path, command, config_values, seed, extra=None):
@@ -265,5 +275,4 @@ def _json_fields(record, keys):
 def _write_json(path, data):
     """`data` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -105,8 +105,8 @@ def classify_k(k):
 def _solve_monotone(f, fprime, lo, hi, x0):
     """Vectorised safeguarded Newton for a strictly increasing f.
 
-    Roots are bracketed by [lo, hi]; Newton steps falling outside the
-    current bracket are replaced by bisection.  Stops after 120 steps or
+    Newton steps outside the closed bracket [lo, hi] (a converged root is
+    one of its ends) are replaced by bisection.  Stops after 120 steps or
     when no x moves by more than 1e-12 relative.
     """
     lo = np.array(lo, dtype=np.float64, copy=True)
@@ -119,7 +119,7 @@ def _solve_monotone(f, fprime, lo, hi, x0):
         hi = np.where(below, hi, x)
         step = fx / fprime(x)
         x_new = x - step
-        bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
+        bad = (x_new < lo) | (x_new > hi) | ~np.isfinite(x_new)
         x_new = np.where(bad, 0.5 * (lo + hi), x_new)
         if np.all(np.abs(x_new - x) <= 1.0e-12 * np.maximum(1.0, np.abs(x_new))):
             x = x_new

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIELDS, assert_tables_bitwise_equal, table_columns
 from vpshell.csvio import (
+    _BLOCK,
     ParsedRun,
     diagnostics_header,
     normalised,
@@ -88,6 +89,38 @@ def test_writer_bytes_equal_per_cell_oracle(tmp_path):
         assert path.read_bytes() == oracle_diagnostics(table, r_grid, q_list)
 
 
+def nans(*words):
+    """NaNs (and infinities) with the given bit patterns."""
+    return np.array(words, np.uint64).view(np.float64)
+
+
+# distinct bits that all write as ""
+NAN_BITS = nans(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0xFFF0000000000ABC, 0x7FF0000000000000, 0xFFF0000000000000)
+
+
+def test_writer_reuses_a_text_only_for_equal_bits(tmp_path):
+    # a cell reuses the text of the equal cell above it; these columns
+    # make runs cross block boundaries and put equal values (0.0 and
+    # -0.0, NaNs of every payload and sign) with different bits next to
+    # each other
+    n = 3 * _BLOCK + 7
+    rows = np.arange(n)
+    runs = np.repeat([1.5, -2.0, 1.5, 0.0, 1e300], -(-n // 5))[:n]
+    table = ParsedRun(
+        times=rows * 0.5, energy=runs, energy_kinetic=np.where(rows % 2, 0.0, -0.0),
+        energy_potential=NAN_BITS[rows % len(NAN_BITS)],
+        mass=np.full(n, 1.0), variance=np.repeat(NAN_BITS, -(-n // len(NAN_BITS)))[:n],
+        dilation=np.where(rows < _BLOCK + 3, -0.0, 0.0), conformal=None,
+        inner_radius=np.where(rows % 3, math.nan, -0.0), outer_radius=runs[::-1].copy(),
+        inner_radius_shell=np.zeros(n), conc={2.0: np.where(rows % _BLOCK, 1.0, 0.25)},
+        lq={3.0: np.where(rows == _BLOCK, -0.0, 0.0)},
+    )
+    path = tmp_path / "d.csv"
+    write_diagnostics(str(path), table, (2.0,), (3.0,))
+    assert path.read_bytes() == oracle_diagnostics(table, (2.0,), (3.0,))
+
+
 def test_read_equals_normalised_table(tmp_path):
     rng = random.Random(7)
     path = tmp_path / "d.csv"
@@ -151,14 +184,17 @@ def oracle_snapshot(ensemble):
 def test_snapshot_bytes_equal_per_cell_oracle(tmp_path):
     rng = random.Random(5)
     path = tmp_path / "snap.csv"
-    for n in (1, 2, 17, 5000):
+    # the last snapshot's equal masses make one run over several blocks
+    for n, equal_mass in ((1, False), (2, False), (17, False), (5000, False),
+                          (3 * _BLOCK + 5, True)):
         def positive():
             return [abs(finite(rng)) or 5e-324 for _ in range(n)]
 
+        # masses small enough that their total stays finite
+        mass = [1.0 / n] * n if equal_mass else [min(m, 1e300) for m in positive()]
         ensemble = Ensemble(
             finite(rng), positive(), [finite(rng) for _ in range(n)],
-            # masses small enough that their total stays finite
-            [abs(finite(rng)) for _ in range(n)], [min(m, 1e300) for m in positive()],
+            [abs(finite(rng)) for _ in range(n)], mass,
             [rng.choice(("", "core", "outer_shell_population")) for _ in range(n)],
         )
         write_snapshot(str(path), ensemble)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vpshell import DomainError
+from vpshell import DomainError, kurth
+from vpshell.dynamics import _record_times
 from vpshell.kurth import (
     classify_k,
     first_integral,
@@ -214,6 +215,48 @@ class TestElliptic:
         phi, phi_dot = phi_closed_form(np.array([0.0, T, 2 * T]), 0.5)
         assert np.allclose(phi, 1.0, atol=1e-10)
         assert np.allclose(phi_dot, 0.5, atol=1e-10)
+
+
+class TestRootSolve:
+    """The safeguarded Newton solve keeps a converged root: a step that
+    lands on an end of the bracket is not replaced by bisection."""
+
+    @pytest.mark.parametrize("k", [0.25, 0.5, 0.75, 1.25, 1.5, 2.0])
+    def test_sweep_member_converges_to_a_few_ulps(self, k, monkeypatch):
+        # the grid and the members of the kurth-sweep benchmark that solve
+        t = np.array(_record_times(0.0, 400.0, 0.5))
+        assert t.size == 801
+        solve, calls, solves = kurth._solve_monotone, [], []
+
+        def counted(f, fprime, lo, hi, x0):
+            def f_counted(x):
+                calls.append(x)
+                return f(x)
+
+            solves.append((f, solve(f_counted, fprime, lo, hi, x0)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(kurth, "_solve_monotone", counted)
+        phi_closed_form(t, k)
+        ((f, root),) = solves
+        assert len(calls) <= 25
+        # f(x) = g(x) - s with g(0) = 0; the residual is a few ulps of
+        # the larger of g(x) and s
+        s = -f(np.zeros_like(root))
+        scale = np.maximum(np.abs(f(root) + s), np.abs(s))
+        assert np.all(np.abs(f(root)) <= 8.0 * np.spacing(scale))
+
+    def test_exact_root_is_returned_after_one_evaluation(self):
+        roots = np.array([-3.0, 0.5, 2.0, 1.0e6])
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - roots**3
+
+        x = kurth._solve_monotone(f, lambda x: 3.0 * x * x, roots - 1.0, roots + 1.0, roots)
+        assert len(calls) == 1
+        assert x.tobytes() == roots.tobytes()
 
 
 class TestClosedFormAgainstOde:
