@@ -12,8 +12,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import kurth as kurth_mod
 from .classify import classify as _classify
 from .config import (
@@ -102,7 +100,7 @@ def _run(config, out_dir):
 
     if config.scenario == "kurth":
         # the simulator's record times, so a table and a run share their rows
-        times = np.array(_record_times(0.0, config["t_end"], config["output_cadence"]))
+        times = _record_times(0.0, config["t_end"], config["output_cadence"])
         phi, phi_dot = kurth_mod.phi_closed_form(times, config["kurth.k"])
         table = kurth_mod.kurth_diagnostics(times, phi, phi_dot, q_list, r_grid)
         command, snapshots, extra = "kurth", (), None

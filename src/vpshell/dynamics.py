@@ -13,9 +13,18 @@ stable order either way), keeps the exclusive prefix (equal radii share
 the prefix of their first member, found by a linear scan after a tie)
 and scatters it back through the order; there is no binary search, the
 argsort is the only O(N log N) part, and the particle order is never
-changed.  Shell crossings inside a step are not sub-resolved; their
-effect vanishes with the step size and is covered by the energy drift
-gate in the tests.
+changed.  ell and the masses never change, so `run()` and `step()`
+square ell once and, when all masses are equal (every shell and core
+builder makes them so), build the mass prefix once: it is the same in
+every radius order, and each step then sorts only the radii.  Shell
+crossings inside a step are not sub-resolved; their effect vanishes
+with the step size and is covered by the energy drift gate in the
+tests.
+
+The step control suggests safety * min(r/|w|, sqrt(r/|a|)) within
+[dt_min, output_cadence].  A force time scale safety * sqrt(r/|a|)
+below dt_min raises StiffnessError: the run stops at that time rather
+than step on at dt_min with a force it cannot resolve.
 
 Purely radial shells (ell = 0) that drift through the centre are
 reflected: r -> |r|, w -> -w.  A centre crossing with ell > 0 means the
@@ -33,13 +42,14 @@ run's one table; only snapshots are `Ensemble`s.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvio import FIXED_COLUMNS, ParsedRun, table_of
-from .diagnostics import (RawState, _selector, _sorted_mass_profile, _workspace,
-                          diagnostics_record)
+from .diagnostics import (RawState, _equal_mass_prefix, _selector, _sorted_mass_profile,
+                          _workspace, diagnostics_record)
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -55,6 +65,16 @@ __all__ = [
 FOUR_PI = 4.0 * math.pi
 
 _TINY = np.finfo(np.float64).tiny
+
+# What the kernel reads of a state that no step changes: ell, ell^2, the
+# masses and, when they are all equal, their `_equal_mass_prefix` (else
+# None).  `run()` and `step()` build it once from their input and pass
+# it down; nothing of it outlives the call.
+_Invariants = namedtuple("_Invariants", "ell ell2 mass prefix")
+
+
+def _invariants(ell, mass):
+    return _Invariants(ell, ell * ell, mass, _equal_mass_prefix(mass))
 
 
 @dataclass(frozen=True)
@@ -103,9 +123,10 @@ class TrajectorySink:
     snapshots: list = field(default_factory=list)
 
 
-def _raw_acceleration(r, ell, mass):
-    """The acceleration and the (r_sorted, m_sorted, prefix) it sorted."""
-    r_sorted, _, prefix, order, tied = profile = _sorted_mass_profile(r, mass)
+def _raw_acceleration(r, inv):
+    """The acceleration at radii r, with ell and the masses of the
+    `_Invariants` inv, and the (r_sorted, m_sorted, prefix) it sorted."""
+    r_sorted, _, prefix, order, tied = profile = _sorted_mass_profile(r, inv.mass, inv.prefix)
     # exclusive prefix in radius order: the mass of every earlier shell
     prefix = prefix[:-1]
     if tied:
@@ -119,32 +140,42 @@ def _raw_acceleration(r, ell, mass):
     # ell^2/((r r) r) - M/((4 pi r) r) with two temporaries, not eight
     den = FOUR_PI * r
     enclosed /= np.multiply(den, r, out=den)
-    accel = ell * ell
-    accel /= np.multiply(np.multiply(r, r, out=den), r, out=den)
+    accel = np.divide(inv.ell2, np.multiply(np.multiply(r, r, out=den), r, out=den))
     accel -= enclosed
     return accel, profile[:3]
 
 
 def acceleration(ensemble: Ensemble):
     """Per-particle radial acceleration ell^2/r^3 - M(<r)/(4 pi r^2)."""
-    return _raw_acceleration(ensemble.r, ensemble.ell, ensemble.mass)[0]
+    return _raw_acceleration(ensemble.r, _invariants(ensemble.ell, ensemble.mass))[0]
 
 
-def _raw_adaptive_dt(r, w, accel, config):
-    """Deterministic step suggestion from the current state.
+def _raw_adaptive_dt(r, w, accel, config, t):
+    """Deterministic step suggestion from the state at time t.
 
     dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
-    clamped to [dt_min, output_cadence].
+    clamped to [dt_min, output_cadence].  A force time scale
+    safety * sqrt(r/|a|) below dt_min raises StiffnessError at t: no
+    admissible step resolves the force.  The kinematic scale r/|w| is
+    clamped: it shrinks geometrically as a shell nears the centre, which
+    only a step of dt_min reaches, to be reflected or rejected there.
+    So is a force scale of exactly 0, an infinite force, whose step
+    turns the state non-finite (NumericalError); NaN is returned as is.
     """
     # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
     dt_kin = np.min(r / (np.abs(w) + eps))
     dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
+    force_dt = config.dt_safety * float(dt_dyn)
+    if 0.0 < force_dt < config.dt_min:
+        raise StiffnessError(
+            f"force time scale {force_dt:.3g} below dt_min = {config.dt_min:.3g}", time=t
+        )
     dt = config.dt_safety * float(np.minimum(dt_kin, dt_dyn))
     return min(max(dt, config.dt_min), config.output_cadence)
 
 
-def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
+def _attempt_step(r, w, inv, accel, dt, reflection_enabled):
     """One kick-drift-kick attempt.  Returns None if the step must be
     rejected (centre crossing of a particle that cannot be reflected),
     else (r, w, accel, profile)."""
@@ -152,24 +183,24 @@ def _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled):
     r_new = r + dt * w_half
     crossed = r_new <= 0.0
     if np.any(crossed):
-        radial = ell == 0.0
+        radial = inv.ell == 0.0
         if not reflection_enabled or np.any(crossed & ~radial):
             return None
         w_half = np.where(crossed, -w_half, w_half)
         r_new = np.where(crossed, np.maximum(np.abs(r_new), _TINY), r_new)
-    accel_new, profile = _raw_acceleration(r_new, ell, mass)
+    accel_new, profile = _raw_acceleration(r_new, inv)
     w_new = w_half + (0.5 * dt) * accel_new
     return r_new, w_new, accel_new, profile
 
 
-def _accepted_step(r, w, ell, mass, accel, dt, reflection_enabled, dt_min, t):
+def _accepted_step(r, w, inv, accel, dt, reflection_enabled, dt_min, t):
     """Attempt a step of dt, halving it until an attempt is accepted.
 
     Returns (r, w, accel, profile, dt_taken).  A half below `dt_min`
     raises StiffnessError at time t.
     """
     while True:
-        result = _attempt_step(r, w, ell, mass, accel, dt, reflection_enabled)
+        result = _attempt_step(r, w, inv, accel, dt, reflection_enabled)
         if result is not None:
             return (*result, dt)
         dt *= 0.5
@@ -204,13 +235,14 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
     if not (0.0 < dt < math.inf and 0.0 < dt_min < math.inf):
         raise DomainError("dt and dt_min must be positive and finite")
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
-    accel = _raw_acceleration(r, ell, mass)[0]
+    inv = _invariants(ell, mass)
+    accel = _raw_acceleration(r, inv)[0]
     t = ensemble.time
     remaining = dt
     h = dt
     while remaining > 0.0:
         r, w, accel, _, h = _accepted_step(
-            r, w, ell, mass, accel, min(h, remaining), reflection_enabled, dt_min, t
+            r, w, inv, accel, min(h, remaining), reflection_enabled, dt_min, t
         )
         t += h
         remaining -= h
@@ -246,18 +278,23 @@ def _record_times(t0, t_end, cadence):
     unless the last multiple lies within 1e-9 * cadence below it.
 
     Raises DomainError unless 0 < cadence < inf and
-    -inf < t0 <= t_end < inf;
-    the check comes before the walk, so the walk always ends.
+    -inf < t0 <= t_end < inf.  The count n of multiples is fixed by the
+    test t0 + k * cadence <= t_end itself, which holds for k = 0 and,
+    rounding being monotone, for every k below n and none above: the
+    quotient (t_end - t0) / cadence only starts the search.
     """
     if not 0.0 < cadence < math.inf:
         raise DomainError("output_cadence must be positive and finite")
     if not -math.inf < t0 <= t_end < math.inf:
         raise DomainError("t_end must be finite and not precede the start time")
-    times = []
-    while (t := t0 + len(times) * cadence) <= t_end:
-        times.append(t)
+    n = int((t_end - t0) / cadence) + 1
+    while n > 1 and t0 + (n - 1) * cadence > t_end:
+        n -= 1
+    while t0 + n * cadence <= t_end:
+        n += 1
+    times = t0 + np.arange(n) * cadence
     if times[-1] < t_end - 1.0e-9 * cadence:
-        times.append(t_end)
+        times = np.append(times, t_end)
     return times
 
 
@@ -291,7 +328,7 @@ def run(
     # each target carries its table column, a snapshot -1, which sorts
     # first: a snapshot precedes a record at the same time
     targets = sorted([(s, -1) for s in snap_times]
-                     + [(t, k) for k, t in enumerate(record_times)])
+                     + [(t, k) for k, t in enumerate(record_times.tolist())])
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
@@ -300,18 +337,19 @@ def run(
     # one row per column, so each table column is a contiguous row
     block = np.empty((len(FIXED_COLUMNS) + len(r_grid) + len(q_list), len(record_times)))
     sink = TrajectorySink(table_of(block, r_grid, q_list))
-    accel, profile = _raw_acceleration(r, ell, mass)
+    inv = _invariants(ell, mass)
+    accel, profile = _raw_acceleration(r, inv)
     dt_cap = config.dt_initial  # caps the first step only
     time_tol = 1.0e-9 * cadence
     t = t0
     for target, k in targets:
         while t < target - time_tol:
-            dt = _raw_adaptive_dt(r, w, accel, config)
+            dt = _raw_adaptive_dt(r, w, accel, config, t)
             if not math.isfinite(dt):
                 raise NumericalError("non-finite step size", time=t)
             profile = None  # free the last sort before the kernel makes the next
             r, w, accel, profile, dt = _accepted_step(
-                r, w, ell, mass, accel, min(dt, dt_cap, target - t),
+                r, w, inv, accel, min(dt, dt_cap, target - t),
                 config.reflection_enabled, config.dt_min, t,
             )
             dt_cap = math.inf

@@ -340,7 +340,10 @@ class TestKurthCommand:
         ("output_cadence", 0.0),
         ("output_cadence", -0.5),
         ("output_cadence", math.inf),
+        ("output_cadence", math.nan),
         ("t_end", -1.0),
+        ("t_end", math.inf),
+        ("t_end", math.nan),
     ])
     def test_bad_horizon_or_cadence_is_domain_error(self, key, value, tmp_path):
         config = parse_config(KURTH_CFG).replace(**{key: value})
@@ -579,10 +582,25 @@ class TestMainExitCodes:
         monkeypatch.setattr(
             dynamics,
             "_raw_acceleration",
-            lambda r, ell, mass: (np.full_like(r, np.nan), kernel(r, ell, mass)[1]),
+            lambda r, inv: (np.full_like(r, np.nan), kernel(r, inv)[1]),
         )
         assert main(["run", "--config", shell_cfg, "--out", str(tmp_path / "o")]) == 3
         assert "non-finite step size (at t = 0)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    def test_unresolvable_force_exits_3(self, tmp_path, capsys):
+        # a cold radial shell falls through the centre, where the force
+        # time scale drops below dt_min; stepping on at dt_min took E from
+        # -0.0325 to 1.97e5 and exited 0
+        path = tmp_path / "cold.cfg"
+        path.write_text("\n".join([
+            "scenario = shell", "t_end = 20.0", "output_cadence = 0.5",
+            "r_grid = 1.0,2.0,4.0", "q_list = 1.6666666666666667", "shell.mass = 1.0",
+            "shell.r_inner = 1.0", "shell.r_outer = 1.25", "shell.w_min = -0.1",
+            "shell.w_max = 0.0", "shell.n = 20", ""]))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "below dt_min = 1e-13 (at t = " in err
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize(

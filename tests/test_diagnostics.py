@@ -18,6 +18,7 @@ from vpshell import (
 )
 from vpshell.diagnostics import (
     _concentration,
+    _equal_mass_prefix,
     _shell_terms,
     _sorted_mass_profile,
     _workspace,
@@ -738,6 +739,35 @@ class TestSortedMassProfile:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert tied == bool(np.any(want[0][1:] == want[0][:-1]))
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("kind", ORDERS)
+    @pytest.mark.parametrize("n", [1, 17, 1000])
+    def test_equal_mass_prefix_equals_stable_oracle(self, n, kind, ties):
+        # equal masses: the prefix built once and `mass` itself stand for
+        # the gather and cumsum, bit for bit and without a copy
+        rng = np.random.default_rng([n, ORDERS.index(kind), ties, 1])
+        r = radii_in_order(rng, n, kind, ties)
+        mass = np.full(n, 1.0 / 3.0)
+        prefix = _equal_mass_prefix(mass)
+        assert not prefix.flags.writeable
+        *got, tied = _sorted_mass_profile(r, mass, prefix)
+        assert got[1] is mass and got[2] is prefix
+        want = stable_sorted_mass_profile(r, mass)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert tied == bool(np.any(want[0][1:] == want[0][:-1]))
+
+    @pytest.mark.parametrize("odd", [0, 500, 999])
+    def test_all_equal_but_one_takes_general_path(self, odd):
+        rng = np.random.default_rng(odd)
+        r = radii_in_order(rng, 1000, "scrambled", True)
+        mass = np.full(1000, 1.0 / 3.0)
+        mass[odd] = np.nextafter(mass[odd], 1.0)
+        assert _equal_mass_prefix(mass) is None
+        *got, _ = _sorted_mass_profile(r, mass, _equal_mass_prefix(mass))
+        for a, b in zip(got, stable_sorted_mass_profile(r, mass)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("kind, n, calls", [
         ("nearly sorted", 10000, ["stable"]),
         ("scrambled tail", 10000, [None]),
@@ -769,7 +799,7 @@ class TestSortedMassProfile:
         chosen = records()
         assert None in argsort_kinds  # the default argsort ordered some steps
 
-        def stable_profile(r, mass):
+        def stable_profile(r, mass, equal_prefix=None):
             r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, mass)
             return r_sorted, m_sorted, prefix, order, bool(np.any(r_sorted[1:] == r_sorted[:-1]))
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from vpshell import (
     group_stats,
     step,
 )
-from vpshell import CoreSpec, ShellSpec, build_shell_plus_core, classify, diagnostics_record
+from vpshell import (CoreSpec, ShellSpec, build_circular_core, build_shell, build_shell_plus_core,
+                     classify, diagnostics_record)
 from vpshell.csvio import normalised, read_diagnostics, write_diagnostics
-from vpshell.dynamics import _raw_adaptive_dt, _selector, energy_drift, run
+import vpshell.dynamics as dynamics
+from vpshell.dynamics import _raw_adaptive_dt, _record_times, _selector, energy_drift, run
 from vpshell.kurth import phi_closed_form
 from conftest import FIELDS, assert_tables_bitwise_equal, homologous_ball, table_columns
 
@@ -37,12 +42,25 @@ def searchsorted_acceleration(r, ell, mass):
 
 def two_array_dt(r, w, accel, config):
     """The earlier step control: the per-particle min of r/|w| and
-    sqrt(r/|a|), then the min over particles."""
+    sqrt(r/|a|), then the min over particles; a positive force time
+    scale below dt_min raises."""
     eps = 1.0e-30
     dt_kin = r / (np.abs(w) + eps)
     dt_dyn = np.sqrt(r / (np.abs(accel) + eps))
+    if 0.0 < config.dt_safety * float(np.min(dt_dyn)) < config.dt_min:
+        raise StiffnessError("force time scale below dt_min")
     dt = config.dt_safety * float(np.min(np.minimum(dt_kin, dt_dyn)))
     return min(max(dt, config.dt_min), config.output_cadence)
+
+
+def loop_record_times(t0, t_end, cadence):
+    """The earlier record times: a Python loop over k."""
+    times = []
+    while (t := t0 + len(times) * cadence) <= t_end:
+        times.append(t)
+    if times[-1] < t_end - 1.0e-9 * cadence:
+        times.append(t_end)
+    return times
 
 
 def mask_group_stats(ens):
@@ -121,6 +139,19 @@ class TestAcceleration:
         for e in tied_ensembles(6):
             old = searchsorted_acceleration(e.r, e.ell, e.mass)
             assert np.array_equal(acceleration(e).view(np.int64), old.view(np.int64))
+
+    def test_equal_masses_bitwise_equal_to_searchsorted_kernel(self):
+        # equal masses take the prefix built once; all equal but one, the
+        # gather and cumsum of every call
+        for i, e in enumerate(tied_ensembles(12, count=60)):
+            mass = np.full(e.n, 1.0 / 3.0)
+            odd = i % 2 and e.n > 1
+            if odd:
+                mass[i % e.n] = 0.5
+            assert (dynamics._equal_mass_prefix(mass) is None) == odd
+            old = searchsorted_acceleration(e.r, e.ell, mass)
+            got = acceleration(Ensemble(0.0, e.r, e.w, e.ell, mass))
+            assert got.tobytes() == old.tobytes()
 
     def test_permutation_equivariant(self):
         # with distinct radii the summation order is the radius order,
@@ -247,22 +278,23 @@ class TestAdaptiveDt:
         ell = circular_ell(2.0, 3.0)
         e = Ensemble(0.0, [0.5, 2.0], [0.0, 0.0], [0.0, ell], [3.0, 1e-9])
         cfg = IntegratorConfig(t_end=1.0, output_cadence=0.25)
-        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg) == 0.25
+        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg, 0.0) == 0.25
 
     def test_linear_in_safety(self):
         e = Ensemble(0.0, [1.0, 2.0], [0.5, -0.1], [0.0, 0.2], [1.0, 1.0])
         accel = acceleration(e)
-        lo = _raw_adaptive_dt(e.r, e.w, accel,
-                              IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.05))
-        hi = _raw_adaptive_dt(e.r, e.w, accel,
-                              IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.1))
+        lo = _raw_adaptive_dt(
+            e.r, e.w, accel, IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.05), 0.0)
+        hi = _raw_adaptive_dt(
+            e.r, e.w, accel, IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=0.1), 0.0)
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
     def test_fast_inner_particle_dominates(self):
         e = Ensemble(0.0, [0.01, 10.0], [5.0, 0.0], [0.0, 0.0], [1.0, 1.0])
         cfg = IntegratorConfig(t_end=1.0, output_cadence=100.0, dt_safety=1.0)
         # r/|w| of the inner particle = 0.002
-        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg) == pytest.approx(0.002, rel=1e-6)
+        dt = _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg, 0.0)
+        assert dt == pytest.approx(0.002, rel=1e-6)
 
     def test_bitwise_equal_to_two_array_formula(self):
         # sqrt is monotone and correctly rounded, so one sqrt of the
@@ -275,10 +307,31 @@ class TestAdaptiveDt:
             w = np.where(rng.random(e.n) < 0.3, 0.0, e.w)
             zeros += int(np.count_nonzero(w == 0.0))
             accel = acceleration(e)
-            got = _raw_adaptive_dt(e.r, w, accel, cfg)
+            got = _raw_adaptive_dt(e.r, w, accel, cfg, 0.0)
             assert cfg.dt_min < got < cfg.output_cadence
             assert repr(got) == repr(two_array_dt(e.r, w, accel, cfg))
         assert zeros > 1000
+
+    def test_unresolvable_force_raises_at_its_time(self):
+        # the outer of two shells near the centre feels a force whose time
+        # scale is about 1e-15, below dt_min = 1e-13
+        e = Ensemble(2.5, [1e-10, 2e-10], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        cfg = IntegratorConfig(t_end=3.0, output_cadence=0.5)
+        with pytest.raises(StiffnessError) as err:
+            _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg, e.time)
+        assert err.value.time == 2.5
+        with pytest.raises(StiffnessError):
+            run(e, cfg)
+
+    def test_short_kinematic_scale_is_clamped(self):
+        # a force-free radial shell 1e-20 from the centre: r/|w| is far
+        # below dt_min, and only a step of dt_min takes it to the centre,
+        # where it is reflected and moves on freely
+        e = Ensemble(0.0, [1e-20], [-1.0], [0.0], [1.0])
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=0.5)
+        assert _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg, 0.0) == cfg.dt_min
+        radii = run(e, cfg).records.inner_radius
+        assert radii[1:] == pytest.approx([0.5, 1.0], rel=1e-12)
 
     def test_nan_gives_non_finite_dt(self):
         # Python's min() would drop the NaN and return a finite step
@@ -288,7 +341,7 @@ class TestAdaptiveDt:
                 for into_w in (True, False):
                     w, accel = e.w.copy(), acceleration(e)
                     (w if into_w else accel)[k] = np.nan
-                    assert not math.isfinite(_raw_adaptive_dt(e.r, w, accel, cfg))
+                    assert not math.isfinite(_raw_adaptive_dt(e.r, w, accel, cfg, 0.0))
 
 
 class TestRun:
@@ -397,6 +450,104 @@ class TestRun:
             sink = run(ens, cfg, r_grid=(1.0,), q_list=(5 / 3,))
             outs.append(sink.records.variance)
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestRecordTimes:
+    def test_bitwise_equal_to_loop(self):
+        # ends on a multiple of the cadence, a rounding step either side
+        # of it, within 1e-9 * cadence below it (no extra record), just
+        # outside that band (an extra record at t_end) and in between
+        rng = np.random.default_rng(21)
+        fixed = [(0.0, 400.0, 0.5), (0.0, 1.3, 0.5), (0.0, 0.0, 1.0), (0.1, 0.7, 0.1),
+                 (-1.0, 1.0, 0.1), (0.0, 1e-12, 1e-13), (5.0, 5.0, 1e-3)]
+        triples = list(fixed)
+        for _ in range(3000):
+            cadence = float(10.0 ** rng.uniform(-3.0, 1.0))
+            t0 = 0.0 if rng.random() < 0.5 else float(rng.uniform(-50.0, 50.0))
+            n = int(rng.integers(0, 300))
+            end = t0 + n * cadence
+            tol = 1.0e-9 * cadence
+            for t_end in (end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf),
+                          end - 0.5 * tol, end + 0.5 * tol, end - tol, end - 1.01 * tol,
+                          end - 2.0 * tol, end + float(rng.uniform(0.0, cadence))):
+                if t_end >= t0:
+                    triples.append((t0, float(t_end), cadence))
+        appended = 0
+        for t0, t_end, cadence in triples:
+            want = loop_record_times(t0, t_end, cadence)
+            got = _record_times(t0, t_end, cadence)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want).tobytes(), (t0, t_end, cadence)
+            appended += want[-1] != t0 + (len(want) - 1) * cadence
+        assert 1000 < appended < len(triples) - 1000  # t_end appended, and not
+
+
+class TestEqualMassPrefix:
+    """run() builds the prefix of equal masses once; every byte must be
+    what the gather and cumsum of every step give."""
+
+    @staticmethod
+    def assert_same_as_per_step_prefix(ensemble, config, monkeypatch, **kw):
+        assert dynamics._equal_mass_prefix(ensemble.mass) is not None
+        once = run(ensemble, config, **kw).records
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_equal_mass_prefix", lambda mass: None)
+            per_step = run(ensemble, config, **kw).records
+        assert_tables_bitwise_equal(once, per_step)
+
+    def test_scrambled_shell(self, monkeypatch):
+        e, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=0.5,
+                                     w_max=0.6, n=2000, seed=3))
+        self.assert_same_as_per_step_prefix(
+            e, IntegratorConfig(t_end=3.0, output_cadence=0.5), monkeypatch,
+            r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,))
+
+    def test_nearly_sorted_core(self, monkeypatch):
+        e = build_circular_core(CoreSpec(mass=1.0, radius=1.0, n=2000, seed=4))
+        self.assert_same_as_per_step_prefix(
+            e, IntegratorConfig(t_end=2.0, output_cadence=0.5), monkeypatch,
+            r_grid=(0.5, 1.0), q_list=(2.0,))
+
+    def test_equal_radii(self, monkeypatch):
+        # four coincident copies of every shell stay coincident, so every
+        # step takes the tie path
+        rng = np.random.default_rng(13)
+        base = np.sort(rng.uniform(0.5, 2.0, 100))
+        copies = [np.repeat(a, 4) for a in (base, rng.normal(0.0, 0.1, 100),
+                                               rng.uniform(0.0, 0.3, 100))]
+        e = Ensemble(0.0, *copies, np.full(400, 1.0 / 400))
+        self.assert_same_as_per_step_prefix(
+            e, IntegratorConfig(t_end=2.0, output_cadence=0.5), monkeypatch,
+            r_grid=(1.0,), q_list=(5.0 / 3.0,))
+
+    PROBE = """
+import numpy as np
+from vpshell import Ensemble, acceleration, step
+out = []
+for mass in (np.full(50, 0.02), np.linspace(0.01, 0.03, 50)):
+    e = Ensemble(0.0, np.linspace(0.5, 2.0, 50), np.linspace(-0.1, 0.1, 50),
+                 np.full(50, 0.2), mass)
+    after = step(e, 0.1)
+    out += [a.tobytes().hex() for a in (acceleration(e), after.r, after.w)]
+out = " ".join(out)
+"""
+
+    def test_nothing_outlives_a_run(self):
+        # acceleration() and step() after runs of other sizes, equal and
+        # unequal masses, give the bits of a fresh process
+        core = CoreSpec(mass=1.0, radius=1.0, n=300, seed=5)
+        shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
+                          n=100, seed=6)
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=0.5)
+        run(build_circular_core(core), cfg)
+        run(build_shell_plus_core(core, shell)[0], cfg)
+        namespace = {}
+        exec(self.PROBE, namespace)
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c", self.PROBE + "print(out)"], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert namespace["out"] == fresh.stdout.strip()
 
 
 class TestRecordPath:
