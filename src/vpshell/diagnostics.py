@@ -46,31 +46,82 @@ def _selector(mask):
     return idx if idx.size else None
 
 
-def _equal_mass_prefix(mass):
-    """The mass prefix sums of `_sorted_mass_profile` when every mass is
-    equal, else None.  Equal masses sort to `mass` itself in any radius
-    order, so this one read-only prefix serves every sort of the radii."""
-    if not np.all(mass == mass[0]):
-        return None
-    prefix = np.empty(mass.size + 1)
+def _prefix_sums(m_sorted):
+    """The read-only mass prefix sums: `prefix[k]` is the mass of the
+    first k shells.  A run may hand one prefix on from step to step, so
+    no reader may write to it."""
+    prefix = np.empty(m_sorted.size + 1)
     prefix[0] = 0.0
-    np.cumsum(mass, out=prefix[1:])
+    np.cumsum(m_sorted, out=prefix[1:])
     prefix.setflags(write=False)
     return prefix
 
 
-def _sorted_mass_profile(r, mass, equal_prefix=None):
+def _equal_mass_prefix(mass):
+    """The mass prefix sums of `_sorted_mass_profile` when every mass is
+    equal, else None.  Equal masses sort to `mass` itself in any radius
+    order, so this one prefix serves every sort of the radii."""
+    return _prefix_sums(mass) if np.all(mass == mass[0]) else None
+
+
+def _scrambled(r, order=None):
+    """Whether more than 1/16 of a probe of every 16th radius descends,
+    the radii taken in `order` when it is given."""
+    # 1/16: timed at N = 1e4-1e5, the default sort won past 1/50-1/10 descents
+    probe = r[::16] if order is None else r[order[::16]]
+    return 16 * np.count_nonzero(probe[1:] < probe[:-1]) > probe.size
+
+
+def _warm_profile(r, mass, equal_prefix, previous):
+    """The profile sorted from the `previous` order, or None when r in
+    that order is still scrambled or when its sort has a tie or a NaN.
+    `previous` is emptied, so that only this call holds the last sort:
+    when it returns None, the cold sort does not keep it alive."""
+    last_mass, last_prefix, last_order = previous
+    previous.clear()
+    if _scrambled(r, last_order):
+        return None
+    r_last = r[last_order]
+    local = np.argsort(r_last, kind="stable")
+    r_sorted = r_last[local]
+    if not np.all(r_sorted[1:] > r_sorted[:-1]):
+        return None
+    order = last_order[local]
+    if equal_prefix is not None:
+        return r_sorted, mass, equal_prefix, order, False
+    m_sorted = last_mass[local]
+    if np.array_equal(m_sorted, last_mass):
+        return r_sorted, last_mass, last_prefix, order, False
+    return r_sorted, m_sorted, _prefix_sums(m_sorted), order, False
+
+
+def _sorted_mass_profile(r, mass, equal_prefix=None, previous=None):
     """Radii and masses in increasing radius, the mass prefix sums, the
     order that sorts them and whether two sorted radii tie (or are NaN).
 
     Ties are broken by original index (stable sort); enclosed-mass
     queries use strict comparison, so coincident radii never see each
-    other's mass.  `prefix[k]` is the mass of the first k shells.  This
-    is the one argsort of radii in the package: the force kernel and
-    every diagnostic start from it.  Scrambled radii (crossing shells)
-    take numpy's default SIMD argsort, nearly sorted ones (a static
-    core) the stable timsort, each the faster there; after a tie the
-    stable sort runs again, so the order is the stable one either way.
+    other's mass.  `prefix[k]` is the mass of the first k shells; it is
+    read-only.  This is the one argsort of radii in the package: the
+    force kernel and every diagnostic start from it.  Nearly sorted
+    radii (a static core) take the stable timsort.  Scrambled radii
+    (crossing shells) take numpy's default SIMD argsort; after a tie
+    the stable sort runs again, so the order is the stable one either
+    way.
+
+    `previous` is a list [m_sorted, prefix, order] of the last profile
+    of the same shells, which a run hands on from step to step.  When
+    the radii are scrambled but `r[order]` is nearly sorted (only the
+    crossings since that step are out of place), the stable sort of
+    `r[order]` composed with `order` is taken, if its radii strictly
+    increase: without a tie the sorting permutation is unique, so the
+    result is the one the cold sort gives.  The sorted masses are then
+    `m_sorted[local]`; when they equal `m_sorted` (no two shells of
+    different mass swapped), `previous`'s masses and prefix are
+    returned as they are, with no cumsum.  Otherwise, and when the
+    radii in the last order are still scrambled or tie, the cold sort
+    runs.  A scrambled sort empties `previous`, so the caller's list
+    does not keep the last arrays alive beside the new ones.
 
     `equal_prefix` is `_equal_mass_prefix(mass)`, which a run computes
     once: when it is given, the sorted masses are `mass` itself and the
@@ -78,9 +129,11 @@ def _sorted_mass_profile(r, mass, equal_prefix=None):
     positive masses have the same bits in any order, so the result is
     the one the gather and cumsum would give.
     """
-    # 1/16: timed at N = 1e4-1e5, the default sort won past 1/50-1/10 descents
-    probe = r[::16]
-    scrambled = 16 * np.count_nonzero(probe[1:] < probe[:-1]) > probe.size
+    scrambled = _scrambled(r)
+    if scrambled and previous is not None:
+        warm = _warm_profile(r, mass, equal_prefix, previous)
+        if warm is not None:
+            return warm
     order = np.argsort(r, kind=None if scrambled else "stable")
     r_sorted = r[order]
     tied = not np.all(r_sorted[1:] > r_sorted[:-1])
@@ -90,10 +143,7 @@ def _sorted_mass_profile(r, mass, equal_prefix=None):
     if equal_prefix is not None:
         return r_sorted, mass, equal_prefix, order, tied
     m_sorted = mass[order]
-    prefix = np.empty(m_sorted.size + 1)
-    prefix[0] = 0.0
-    np.cumsum(m_sorted, out=prefix[1:])
-    return r_sorted, m_sorted, prefix, order, tied
+    return r_sorted, m_sorted, _prefix_sums(m_sorted), order, tied
 
 
 def _field_energy(r_sorted, prefix):

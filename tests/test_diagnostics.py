@@ -19,6 +19,7 @@ from vpshell import (
 from vpshell.diagnostics import (
     _concentration,
     _equal_mass_prefix,
+    _scrambled,
     _shell_terms,
     _sorted_mass_profile,
     _workspace,
@@ -799,9 +800,138 @@ class TestSortedMassProfile:
         chosen = records()
         assert None in argsort_kinds  # the default argsort ordered some steps
 
-        def stable_profile(r, mass, equal_prefix=None):
+        def stable_profile(r, mass, equal_prefix=None, previous=None):
             r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, mass)
             return r_sorted, m_sorted, prefix, order, bool(np.any(r_sorted[1:] == r_sorted[:-1]))
 
         monkeypatch.setattr(dynamics, "_sorted_mass_profile", stable_profile)
         assert chosen == records()
+
+
+def swapped_neighbours(rng, r, order, count):
+    """r with the radii of `count` pairs of radius-order neighbours
+    swapped, so r[order] has `count` descents; returns r and the pairs."""
+    r = r.copy()
+    p = 2 * rng.choice(r.size // 2 - 1, size=count, replace=False)
+    a, b = order[p], order[p + 1]
+    r[a], r[b] = r[b], r[a].copy()
+    return r, (a, b)
+
+
+MASSES = ("one value", "two values", "distinct")
+
+
+def masses(rng, n, kind):
+    if kind == "one value":
+        return np.full(n, 1.0 / 3.0)
+    if kind == "two values":
+        # a core of light shells and a shell of heavy ones, as
+        # build_shell_plus_core makes them
+        return np.where(rng.random(n) < 0.8, 1.0 / 2000.0, 0.2 / 500.0)
+    return rng.uniform(0.1, 1.0, n)
+
+
+class TestWarmProfile:
+    """Scrambled radii sort from the previous profile's order when only
+    a few shells crossed since; the result must be the stable sort's,
+    bit for bit, and the previous prefix is kept only while the sorted
+    masses are the same."""
+
+    N = 4000
+
+    def scrambled_with_previous(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        r0 = rng.permutation(np.sort(rng.uniform(0.5, 3.0, self.N)))
+        mass = masses(rng, self.N, kind)
+        assert _scrambled(r0)
+        return rng, r0, mass, tuple(_sorted_mass_profile(r0, mass)[1:4])
+
+    @pytest.mark.parametrize("kind", MASSES)
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    def test_equals_stable_oracle(self, kind, count, argsort_kinds):
+        rng, r0, mass, previous = self.scrambled_with_previous([count, MASSES.index(kind)], kind)
+        r, _ = swapped_neighbours(rng, r0, previous[2], count)
+        del argsort_kinds[:]
+        handed = list(previous)
+        *got, tied = _sorted_mass_profile(r, mass, None, handed)
+        assert argsort_kinds == ["stable"]  # one warm sort, no cold one
+        assert handed == []  # the sort holds the last arrays, not the caller
+        want = stable_sorted_mass_profile(r, mass)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert tied is False
+        same_masses = np.array_equal(want[1], previous[0])
+        assert (got[2] is previous[1]) == (got[1] is previous[0]) == same_masses
+        assert not got[2].flags.writeable
+        if kind == "one value":
+            assert same_masses
+        if kind == "distinct":
+            assert not same_masses
+
+    def test_reuse_and_rebuild_both_occur(self):
+        # two mass values: a swap inside a group keeps the prefix, a swap
+        # across the groups builds a new one
+        reused = []
+        for seed in range(20):
+            rng, r0, mass, previous = self.scrambled_with_previous(seed, "two values")
+            r, _ = swapped_neighbours(rng, r0, previous[2], 3)
+            reused.append(_sorted_mass_profile(r, mass, None, list(previous))[2] is previous[1])
+        assert any(reused) and not all(reused)
+
+    def test_equal_prefix_wins(self):
+        rng, r0, mass, _ = self.scrambled_with_previous(3, "one value")
+        prefix = _equal_mass_prefix(mass)
+        previous = _sorted_mass_profile(r0, mass, prefix)[1:4]
+        r, _ = swapped_neighbours(rng, r0, previous[2], 5)
+        *got, _ = _sorted_mass_profile(r, mass, prefix, list(previous))
+        assert got[1] is mass and got[2] is prefix
+        for a, b in zip(got, stable_sorted_mass_profile(r, mass)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", MASSES)
+    def test_tie_takes_cold_sort(self, kind, argsort_kinds):
+        # each tie puts the higher index first in the previous order; the
+        # stable sort puts it second, so only the cold sort gets it right
+        rng, r0, mass, previous = self.scrambled_with_previous(5, kind)
+        order = previous[2]
+        r, (a, b) = swapped_neighbours(rng, r0, order, 20)
+        higher_first = a > b
+        r[b[higher_first]] = r[a[higher_first]]
+        r[a[~higher_first]] = r[b[~higher_first]]
+        del argsort_kinds[:]
+        handed = list(previous)
+        *got, tied = _sorted_mass_profile(r, mass, None, handed)
+        assert argsort_kinds == ["stable", None, "stable"]
+        assert handed == []
+        want = stable_sorted_mass_profile(r, mass)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+        assert tied is True
+
+    def test_nan_takes_cold_sort(self):
+        rng, r0, mass, previous = self.scrambled_with_previous(6, "two values")
+        r, _ = swapped_neighbours(rng, r0, previous[2], 5)
+        r[previous[2][self.N // 2]] = np.nan
+        *got, tied = _sorted_mass_profile(r, mass, None, list(previous))
+        for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
+            assert x.tobytes() == y.tobytes()
+        assert tied is True
+
+    def test_still_scrambled_takes_cold_sort(self, argsort_kinds):
+        # the previous order of other radii leaves these scrambled
+        rng, r0, mass, previous = self.scrambled_with_previous(7, "two values")
+        r = rng.permutation(r0)
+        del argsort_kinds[:]
+        *got, _ = _sorted_mass_profile(r, mass, None, list(previous))
+        assert argsort_kinds == [None]
+        for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_nearly_sorted_radii_ignore_previous(self):
+        rng = np.random.default_rng(8)
+        r = radii_in_order(rng, 1000, "nearly sorted", False)
+        mass = rng.uniform(0.1, 1.0, 1000)
+        # not a profile: reading it would raise
+        *got, _ = _sorted_mass_profile(r, mass, None, previous=("not", "read"))
+        for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
+            assert x.tobytes() == y.tobytes()

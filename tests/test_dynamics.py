@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vpshell import (
 from vpshell import (CoreSpec, ShellSpec, build_circular_core, build_shell, build_shell_plus_core,
                      classify, diagnostics_record)
 from vpshell.csvio import normalised, read_diagnostics, write_diagnostics
+import vpshell.diagnostics as diagnostics
 import vpshell.dynamics as dynamics
 from vpshell.dynamics import _raw_adaptive_dt, _record_times, _selector, energy_drift, run
 from vpshell.kurth import phi_closed_form
@@ -550,6 +552,111 @@ out = " ".join(out)
         assert namespace["out"] == fresh.stdout.strip()
 
 
+def infalling_shell_plus_core():
+    # the shell falls through the core, so shells of both masses swap
+    # places in the radius order
+    core = CoreSpec(mass=1.0, radius=1.0, n=2000, seed=11)
+    shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=-0.5, w_max=-0.3,
+                      n=500, seed=12)
+    return build_shell_plus_core(core, shell)[0]
+
+
+class TestWarmSort:
+    """A scrambled step sorts its radii from the last step's order and
+    keeps the last mass prefix while the sorted masses stay the same;
+    every record must be that of a run whose sorts start cold."""
+
+    KW = {"r_grid": (1.0, 2.0, 4.0), "q_list": (5.0 / 3.0, 2.0)}
+
+    @classmethod
+    def assert_warm_run_equals_cold_run(cls, ensemble, config, monkeypatch):
+        """Returns how often the warm sort reused the last prefix, built
+        a new one, or fell back to the cold sort."""
+        counts = Counter()
+        warm_profile = diagnostics._warm_profile
+
+        def counted(r, mass, equal_prefix, previous):
+            last_prefix = previous[1]
+            profile = warm_profile(r, mass, equal_prefix, previous)
+            if profile is None:
+                counts["cold"] += 1
+            elif profile[2] is last_prefix:
+                # a reused prefix is read-only: no reader may change the
+                # prefix of the next step
+                assert not profile[2].flags.writeable
+                counts["reused"] += 1
+            else:
+                counts["rebuilt"] += 1
+            return profile
+
+        sort = dynamics._sorted_mass_profile
+        with monkeypatch.context() as patch:
+            patch.setattr(diagnostics, "_warm_profile", counted)
+            warm = run(ensemble, config, **cls.KW).records
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_sorted_mass_profile",
+                          lambda r, mass, equal_prefix=None, previous=None:
+                          sort(r, mass, equal_prefix))
+            cold = run(ensemble, config, **cls.KW).records
+        assert_tables_bitwise_equal(warm, cold)
+        return counts
+
+    def test_escaping_shell_plus_core(self, monkeypatch):
+        counts = self.assert_warm_run_equals_cold_run(
+            TestRecordPath.shell_plus_core(), TestRecordPath.CFG, monkeypatch)
+        # core and shell never interleave, so every warm sort keeps the prefix
+        assert counts["reused"] > 0 and counts["rebuilt"] == 0
+
+    def test_infalling_shell_plus_core(self, monkeypatch):
+        counts = self.assert_warm_run_equals_cold_run(
+            infalling_shell_plus_core(), IntegratorConfig(t_end=3.0, output_cadence=0.5),
+            monkeypatch)
+        # a shell that passes core particles changes the sorted masses
+        assert counts["reused"] > 0 and counts["rebuilt"] > 0
+
+    def test_equal_masses_take_the_run_prefix(self, monkeypatch):
+        e, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=-0.6,
+                                     w_max=0.6, n=2000, seed=3))
+        counts = self.assert_warm_run_equals_cold_run(
+            e, IntegratorConfig(t_end=1.0, output_cadence=0.5), monkeypatch)
+        # every sort takes the run's one prefix of equal masses
+        assert counts["reused"] > 0 and counts["rebuilt"] == 0
+
+
+class TestParticleOrder:
+    """The shell representation does not depend on particle order: a
+    run of permuted particles gives the same table.  Columns read from
+    the sorted radii are bitwise equal; sums in particle order move by
+    roundoff only."""
+
+    SORTED = ("times", "energy_potential", "inner_radius", "outer_radius",
+              "inner_radius_shell")
+    SUMMED = ("energy_kinetic", "variance", "dilation", "conformal")
+
+    def test_permuted_shell_plus_core(self):
+        e = TestRecordPath.shell_plus_core()
+        perm = np.random.default_rng(2024).permutation(e.n)
+        permuted = Ensemble(e.time, e.r[perm], e.w[perm], e.ell[perm], e.mass[perm],
+                            e.group[perm])
+        # the permuted run starts scrambled, so its steps sort warm
+        assert diagnostics._scrambled(permuted.r) and not diagnostics._scrambled(e.r)
+        a = run(e, TestRecordPath.CFG, **TestWarmSort.KW).records
+        b = run(permuted, TestRecordPath.CFG, **TestWarmSort.KW).records
+        for name in self.SORTED:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for family in ("conc", "lq"):
+            left, right = getattr(a, family), getattr(b, family)
+            assert list(left) == list(right)
+            for key in left:
+                assert left[key].tobytes() == right[key].tobytes(), (family, key)
+        for name in self.SUMMED:
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.all(np.abs(x - y) <= 1e-13 * np.abs(x)), name
+        labels = [classify(t, float(t.energy[0]), 0.0, float(t.mass[0])).label
+                  for t in (a, b)]
+        assert labels[0] == labels[1]
+
+
 class TestRecordPath:
     """Records read the step's sort and raw arrays; they must equal what
     an Ensemble snapshot of the same state gives, bit for bit."""
@@ -565,7 +672,8 @@ class TestRecordPath:
     CFG = IntegratorConfig(t_end=10.0, output_cadence=1.0, dt_safety=0.05)
     TIMES = tuple(float(k) for k in range(11))
 
-    def shell_plus_core(self):
+    @staticmethod
+    def shell_plus_core():
         core = CoreSpec(mass=1.0, radius=1.0, n=2000, seed=11)
         shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
                           n=500, seed=12)
