@@ -172,6 +172,8 @@ def _validated(values, lines=None):
         raise bad("seed", "must be >= 0")
     if values["t_end"] < 0.0:
         raise bad("t_end", "must be >= 0")
+    if not all(0.0 <= s <= values["t_end"] for s in values["snapshot_times"]):
+        raise bad("snapshot_times", "must lie within [0, t_end]")
     if values["output_cadence"] <= 0.0:
         raise bad("output_cadence", "must be positive")
     if values["dt_initial"] <= 0.0:

@@ -57,13 +57,6 @@ def _prefix_sums(m_sorted):
     return prefix
 
 
-def _equal_mass_prefix(mass):
-    """The mass prefix sums of `_sorted_mass_profile` when every mass is
-    equal, else None.  Equal masses sort to `mass` itself in any radius
-    order, so this one prefix serves every sort of the radii."""
-    return _prefix_sums(mass) if np.all(mass == mass[0]) else None
-
-
 def _scrambled(r, order=None):
     """Whether more than 1/16 of a probe of every 16th radius descends,
     the radii taken in `order` when it is given."""
@@ -72,78 +65,87 @@ def _scrambled(r, order=None):
     return 16 * np.count_nonzero(probe[1:] < probe[:-1]) > probe.size
 
 
-def _warm_profile(r, mass, equal_prefix, previous):
-    """The profile sorted from the `previous` order, or None when r in
-    that order is still scrambled or when its sort has a tie or a NaN.
-    `previous` is emptied, so that only this call holds the last sort:
-    when it returns None, the cold sort does not keep it alive."""
-    last_mass, last_prefix, last_order = previous
-    previous.clear()
-    if _scrambled(r, last_order):
-        return None
-    r_last = r[last_order]
-    local = np.argsort(r_last, kind="stable")
-    r_sorted = r_last[local]
-    if not np.all(r_sorted[1:] > r_sorted[:-1]):
-        return None
-    order = last_order[local]
-    if equal_prefix is not None:
-        return r_sorted, mass, equal_prefix, order, False
-    m_sorted = last_mass[local]
-    if np.array_equal(m_sorted, last_mass):
-        return r_sorted, last_mass, last_prefix, order, False
-    return r_sorted, m_sorted, _prefix_sums(m_sorted), order, False
+class _RadialOrder:
+    """The one sort of radii in the package, for the shells of `mass`.
 
-
-def _sorted_mass_profile(r, mass, equal_prefix=None, previous=None):
-    """Radii and masses in increasing radius, the mass prefix sums, the
+    Calling it with radii r returns (r_sorted, m_sorted, prefix, order,
+    tied): radii and masses in increasing radius, the read-only mass
+    prefix sums (`prefix[k]` is the mass of the first k shells), the
     order that sorts them and whether two sorted radii tie (or are NaN).
+    The force kernel and every diagnostic start from it.  Ties are
+    broken by original index: the order is the stable sort's whatever
+    path ran, and enclosed-mass queries use strict comparison, so
+    coincident radii never see each other's mass.
 
-    Ties are broken by original index (stable sort); enclosed-mass
-    queries use strict comparison, so coincident radii never see each
-    other's mass.  `prefix[k]` is the mass of the first k shells; it is
-    read-only.  This is the one argsort of radii in the package: the
-    force kernel and every diagnostic start from it.  Nearly sorted
-    radii (a static core) take the stable timsort.  Scrambled radii
-    (crossing shells) take numpy's default SIMD argsort; after a tie
-    the stable sort runs again, so the order is the stable one either
-    way.
+    The paths, each giving the stable sort's bits:
+    - nearly sorted radii (a static core) take the stable timsort;
+    - scrambled radii (more than 1/16 of the `_scrambled` probe
+      descends: crossing shells) start from the order of the last
+      scrambled sort.  Only the shells that crossed since are out of
+      place there, so when r in that order is no longer scrambled, the
+      stable sort of it is cheap; it is taken if its radii strictly
+      increase, since without a tie the sorting permutation is unique.
+      While the masses in radius order stay the same (no two shells of
+      different mass swapped, as when a shell escapes a core) the last
+      masses and prefix are kept as they are, with no cumsum;
+    - other scrambled radii (the first ones, those still scrambled in
+      the last order, a tie there) take numpy's default SIMD argsort,
+      and after a tie the stable sort again.
 
-    `previous` is a list [m_sorted, prefix, order] of the last profile
-    of the same shells, which a run hands on from step to step.  When
-    the radii are scrambled but `r[order]` is nearly sorted (only the
-    crossings since that step are out of place), the stable sort of
-    `r[order]` composed with `order` is taken, if its radii strictly
-    increase: without a tie the sorting permutation is unique, so the
-    result is the one the cold sort gives.  The sorted masses are then
-    `m_sorted[local]`; when they equal `m_sorted` (no two shells of
-    different mass swapped), `previous`'s masses and prefix are
-    returned as they are, with no cumsum.  Otherwise, and when the
-    radii in the last order are still scrambled or tie, the cold sort
-    runs.  A scrambled sort empties `previous`, so the caller's list
-    does not keep the last arrays alive beside the new ones.
-
-    `equal_prefix` is `_equal_mass_prefix(mass)`, which a run computes
-    once: when it is given, the sorted masses are `mass` itself and the
-    prefix is `equal_prefix`, with no gather and no cumsum.  Equal
-    positive masses have the same bits in any order, so the result is
-    the one the gather and cumsum would give.
+    When every mass is equal (every shell and core builder makes them
+    so) the sorted masses are `mass` itself and the prefix is built once
+    here, with no gather and no cumsum per call: equal positive masses
+    have the same bits in any order.  The last (m_sorted, prefix,
+    order) is kept only after scrambled radii, and dropped before any
+    other sort, so no more than one sort's arrays outlive a call.  A
+    run owns one instance; nothing of it outlives the run.
     """
-    scrambled = _scrambled(r)
-    if scrambled and previous is not None:
-        warm = _warm_profile(r, mass, equal_prefix, previous)
-        if warm is not None:
-            return warm
-    order = np.argsort(r, kind=None if scrambled else "stable")
-    r_sorted = r[order]
-    tied = not np.all(r_sorted[1:] > r_sorted[:-1])
-    if tied and scrambled:
-        order = np.argsort(r, kind="stable")
-        r_sorted = r[order]
-    if equal_prefix is not None:
-        return r_sorted, mass, equal_prefix, order, tied
-    m_sorted = mass[order]
-    return r_sorted, m_sorted, _prefix_sums(m_sorted), order, tied
+
+    def __init__(self, mass):
+        self.mass = mass
+        self.equal_prefix = _prefix_sums(mass) if np.all(mass == mass[0]) else None
+        self._last = None
+
+    def __call__(self, r):
+        scrambled = _scrambled(r)
+        profile = self._warm(r) if scrambled and self._last is not None else None
+        if profile is None:
+            self._last = None
+            order = np.argsort(r, kind=None if scrambled else "stable")
+            r_sorted = r[order]
+            tied = not np.all(r_sorted[1:] > r_sorted[:-1])
+            if tied and scrambled:
+                order = np.argsort(r, kind="stable")
+                r_sorted = r[order]
+            if self.equal_prefix is None:
+                m_sorted = self.mass[order]
+                profile = r_sorted, m_sorted, _prefix_sums(m_sorted), order, tied
+            else:
+                profile = r_sorted, self.mass, self.equal_prefix, order, tied
+        if scrambled:
+            self._last = profile[1:4]
+        return profile
+
+    def _warm(self, r):
+        """The profile sorted from the last order, or None when r in that
+        order is still scrambled or its sort has a tie or a NaN.  The last
+        sort is dropped either way."""
+        last_mass, last_prefix, last_order = self._last
+        self._last = None
+        if _scrambled(r, last_order):
+            return None
+        r_last = r[last_order]
+        local = np.argsort(r_last, kind="stable")
+        r_sorted = r_last[local]
+        if not np.all(r_sorted[1:] > r_sorted[:-1]):
+            return None
+        order = last_order[local]
+        if self.equal_prefix is not None:
+            return r_sorted, self.mass, self.equal_prefix, order, False
+        m_sorted = last_mass[local]
+        if np.array_equal(m_sorted, last_mass):
+            return r_sorted, last_mass, last_prefix, order, False
+        return r_sorted, m_sorted, _prefix_sums(m_sorted), order, False
 
 
 def _field_energy(r_sorted, prefix):
@@ -166,7 +168,7 @@ def potential_energy(ensemble: Ensemble):
     shells.  The result is >= 0; a lone shell of mass M at radius r
     contributes exactly M^2 / (8 pi r).
     """
-    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, *_ = _RadialOrder(ensemble.mass)(ensemble.r)
     return _field_energy(r_sorted, prefix)
 
 
@@ -352,7 +354,7 @@ def concentration_function(ensemble: Ensemble, R, return_center=False):
     With `return_center` the best centre distance is returned alongside
     the mass.
     """
-    r, mass, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, mass, prefix, *_ = _RadialOrder(ensemble.mass)(ensemble.r)
     work = _workspace(r.size)
     best, best_d = _concentration(r, mass, prefix, ensemble.total_mass, float(R),
                                   _shell_terms(r, mass, work), work)
@@ -378,7 +380,7 @@ def build_radial_profile(ensemble: Ensemble, n_bins):
 
     The binned mass equals the total mass up to summation rounding.
     """
-    r, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r, _, prefix, *_ = _RadialOrder(ensemble.mass)(ensemble.r)
     return _radial_profile(r, prefix, n_bins)
 
 
@@ -425,7 +427,7 @@ def diagnostics_record(
     """
     t = ensemble.time
     is_raw = isinstance(ensemble, RawState)
-    r, mass, prefix = profile or _sorted_mass_profile(ensemble.r, ensemble.mass)[:3]
+    r, mass, prefix = profile or _RadialOrder(ensemble.mass)(ensemble.r)[:3]
     e_kin = kinetic_energy(ensemble)
     e_pot = _field_energy(r, prefix)
     radii = tuple(map(float, r_grid))

@@ -6,27 +6,14 @@ Each shell obeys
 
 with M(<r) the mass strictly inside r (a shell feels no self-force).
 The integrator is kick-drift-kick leapfrog with one force evaluation
-per step.  The force takes the argsort and mass prefix of
-`diagnostics._sorted_mass_profile` (the one sort of radii in the
-package: SIMD for scrambled radii, timsort for nearly sorted ones, the
-stable order either way), keeps the exclusive prefix (equal radii share
+per step.  The force takes the order and mass prefix of the run's
+`diagnostics._RadialOrder` (whose docstring describes the one sort of
+radii in the package), keeps the exclusive prefix (equal radii share
 the prefix of their first member, found by a linear scan after a tie)
-and scatters it back through the order; there is no binary search, the
-argsort is the only O(N log N) part, and the particle order is never
-changed.  ell and the masses never change, so `run()` and `step()`
-square ell once and, when all masses are equal (every shell and core
-builder makes them so), build the mass prefix once: it is the same in
-every radius order, and each step then sorts only the radii.  When the
-radii are scrambled, each step hands its (m_sorted, prefix, order) to
-the next, whose sort starts from that order: only the shells that
-crossed in between are out of place, so timsort of the radii in that
-order is cheap, and while the masses in radius order stay the same
-(no two shells of different mass swapped, as when a shell escapes a
-core) the last prefix is kept as it is.  Without a tie the sorting
-permutation is unique, so the result is the cold sort's.  Shell
-crossings inside a step are not sub-resolved; their effect vanishes
-with the step size and is covered by the energy drift gate in the
-tests.
+and scatters it back through the order; the particle order is never
+changed.  Shell crossings inside a step are not sub-resolved; their
+effect vanishes with the step size and is covered by the energy drift
+gate in the tests.
 
 The step control suggests safety * min(r/|w|, sqrt(r/|a|)) within
 [dt_min, output_cadence].  A force time scale safety * sqrt(r/|a|)
@@ -55,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import FIXED_COLUMNS, ParsedRun, table_of
-from .diagnostics import (RawState, _equal_mass_prefix, _scrambled, _selector,
-                          _sorted_mass_profile, _workspace, diagnostics_record)
+from .diagnostics import RawState, _RadialOrder, _selector, _workspace, diagnostics_record
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -73,15 +59,15 @@ FOUR_PI = 4.0 * math.pi
 
 _TINY = np.finfo(np.float64).tiny
 
-# What the kernel reads of a state that no step changes: ell, ell^2, the
-# masses and, when they are all equal, their `_equal_mass_prefix` (else
-# None).  `run()` and `step()` build it once from their input and pass
-# it down; nothing of it outlives the call.
-_Invariants = namedtuple("_Invariants", "ell ell2 mass prefix")
+# What the kernel reads of a state that no step changes: ell, ell^2 and
+# the `_RadialOrder` of the masses.  `run()`, `step()` and
+# `acceleration()` build it once from their input and pass it down;
+# nothing of it outlives the call.
+_Invariants = namedtuple("_Invariants", "ell ell2 sort")
 
 
 def _invariants(ell, mass):
-    return _Invariants(ell, ell * ell, mass, _equal_mass_prefix(mass))
+    return _Invariants(ell, ell * ell, _RadialOrder(mass))
 
 
 @dataclass(frozen=True)
@@ -130,12 +116,10 @@ class TrajectorySink:
     snapshots: list = field(default_factory=list)
 
 
-def _raw_acceleration(r, inv, previous=None):
+def _raw_acceleration(r, inv):
     """The acceleration at radii r, with ell and the masses of the
-    `_Invariants` inv, and the `_sorted_mass_profile` it sorted, which
-    may start from the `previous` [m_sorted, prefix, order]."""
-    r_sorted, _, prefix, order, tied = profile = _sorted_mass_profile(
-        r, inv.mass, inv.prefix, previous)
+    `_Invariants` inv, and the profile its sort returned."""
+    r_sorted, _, prefix, order, tied = profile = inv.sort(r)
     # exclusive prefix in radius order: the mass of every earlier shell
     prefix = prefix[:-1]
     if tied:
@@ -152,14 +136,6 @@ def _raw_acceleration(r, inv, previous=None):
     accel = np.divide(inv.ell2, np.multiply(np.multiply(r, r, out=den), r, out=den))
     accel -= enclosed
     return accel, profile
-
-
-def _previous(r, profile):
-    """What the next sort of the shells may start from: the list
-    [m_sorted, prefix, order] of the profile of radii r, which that sort
-    empties, when r is scrambled.  Nearly sorted radii sort cold at the
-    next step, so their order is not kept alive across it."""
-    return list(profile[1:4]) if _scrambled(r) else None
 
 
 def acceleration(ensemble: Ensemble):
@@ -192,11 +168,10 @@ def _raw_adaptive_dt(r, w, accel, config, t):
     return min(max(dt, config.dt_min), config.output_cadence)
 
 
-def _attempt_step(r, w, inv, accel, previous, dt, reflection_enabled):
-    """One kick-drift-kick attempt from a state whose sort left the
-    `previous` [m_sorted, prefix, order].  Returns None if the step must
-    be rejected (centre crossing of a particle that cannot be
-    reflected), else (r, w, accel, profile)."""
+def _attempt_step(r, w, inv, accel, dt, reflection_enabled):
+    """One kick-drift-kick attempt.  Returns None if the step must be
+    rejected (centre crossing of a particle that cannot be reflected),
+    else (r, w, accel, profile)."""
     w_half = w + (0.5 * dt) * accel
     r_new = r + dt * w_half
     crossed = r_new <= 0.0
@@ -206,19 +181,19 @@ def _attempt_step(r, w, inv, accel, previous, dt, reflection_enabled):
             return None
         w_half = np.where(crossed, -w_half, w_half)
         r_new = np.where(crossed, np.maximum(np.abs(r_new), _TINY), r_new)
-    accel_new, profile = _raw_acceleration(r_new, inv, previous)
+    accel_new, profile = _raw_acceleration(r_new, inv)
     w_new = w_half + (0.5 * dt) * accel_new
     return r_new, w_new, accel_new, profile
 
 
-def _accepted_step(r, w, inv, accel, previous, dt, reflection_enabled, dt_min, t):
+def _accepted_step(r, w, inv, accel, dt, reflection_enabled, dt_min, t):
     """Attempt a step of dt, halving it until an attempt is accepted.
 
     Returns (r, w, accel, profile, dt_taken).  A half below `dt_min`
     raises StiffnessError at time t.
     """
     while True:
-        result = _attempt_step(r, w, inv, accel, previous, dt, reflection_enabled)
+        result = _attempt_step(r, w, inv, accel, dt, reflection_enabled)
         if result is not None:
             return (*result, dt)
         dt *= 0.5
@@ -254,14 +229,13 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
         raise DomainError("dt and dt_min must be positive and finite")
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     inv = _invariants(ell, mass)
-    accel, profile = _raw_acceleration(r, inv)
+    accel = _raw_acceleration(r, inv)[0]
     t = ensemble.time
     remaining = dt
     h = dt
     while remaining > 0.0:
-        r, w, accel, profile, h = _accepted_step(
-            r, w, inv, accel, _previous(r, profile), min(h, remaining),
-            reflection_enabled, dt_min, t,
+        r, w, accel, _, h = _accepted_step(
+            r, w, inv, accel, min(h, remaining), reflection_enabled, dt_min, t,
         )
         t += h
         remaining -= h
@@ -366,10 +340,9 @@ def run(
             dt = _raw_adaptive_dt(r, w, accel, config, t)
             if not math.isfinite(dt):
                 raise NumericalError("non-finite step size", time=t)
-            # free the last sort, but what the next may start from
-            previous, profile = _previous(r, profile), None
+            profile = None  # free the last sort; `inv.sort` keeps what it reuses
             r, w, accel, profile, dt = _accepted_step(
-                r, w, inv, accel, previous, min(dt, dt_cap, target - t),
+                r, w, inv, accel, min(dt, dt_cap, target - t),
                 config.reflection_enabled, config.dt_min, t,
             )
             dt_cap = math.inf

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vpshell import DomainError, Ensemble, NumericalError, dynamical_time
+from vpshell.diagnostics import _RadialOrder
 
 FIELDS = (
     "times", "energy", "energy_kinetic", "energy_potential", "mass", "variance",
@@ -107,6 +108,14 @@ def integrate_phi(k, t_end):
             while next_out <= t + 1.0e-12:
                 next_out += output_cadence
     return KurthTrajectory(np.array(times), np.array(phis), np.array(pds))
+
+
+def general_order(mass):
+    """A `_RadialOrder` whose equal prefix is None: it gathers and sums
+    the masses at every cold sort even when they are all equal."""
+    sort = _RadialOrder(mass)
+    sort.equal_prefix = None
+    return sort
 
 
 def galilean_shift(E, Q, M, u):

@@ -632,6 +632,17 @@ class TestMainExitCodes:
         assert "configuration error" in err and "seed" in err and "line 3" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("times", ["1.0,5.0", "-1.0"])
+    def test_snapshot_outside_run_exits_2(self, times, tmp_path, capsys):
+        # refused with its line before the output directory is made; the
+        # run's own check left an empty --out behind with no line number
+        path = tmp_path / "snap.cfg"
+        path.write_text(SHELL_CFG.format(t_end=2.0) + f"snapshot_times = {times}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshot_times" in err and "line 14" in err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_flag_exits_2(self, shell_cfg, tmp_path, capsys):
         argv = ["run", "--config", shell_cfg, "--out", str(tmp_path / "o"), "--seed", "-3"]
         assert main(argv) == 2

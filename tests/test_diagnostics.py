@@ -18,13 +18,13 @@ from vpshell import (
 )
 from vpshell.diagnostics import (
     _concentration,
-    _equal_mass_prefix,
+    _RadialOrder,
     _scrambled,
     _shell_terms,
-    _sorted_mass_profile,
     _workspace,
 )
-from conftest import galilean_shift, random_ensemble, table_columns
+from vpshell.csvio import diagnostics_header
+from conftest import galilean_shift, general_order, random_ensemble, table_columns
 
 
 def cumulative_mass(ensemble, r):
@@ -38,7 +38,7 @@ def cumulative_mass(ensemble, r):
         raise DomainError("query radius must be finite")
     if np.any(r_arr < 0.0):
         raise DomainError("query radius must be >= 0")
-    r_sorted, _, prefix, *_ = _sorted_mass_profile(ensemble.r, ensemble.mass)
+    r_sorted, _, prefix, *_ = _RadialOrder(ensemble.mass)(ensemble.r)
     out = prefix[np.searchsorted(r_sorted, r_arr, side="left")]
     if np.isscalar(r) or r_arr.ndim == 0:
         return float(out)
@@ -454,7 +454,7 @@ def fresh_concentration(r, mass, prefix, total, R):
 
 
 def sorted_state(e):
-    r, mass, prefix, *_ = _sorted_mass_profile(e.r, e.mass)
+    r, mass, prefix, *_ = _RadialOrder(e.mass)(e.r)
     return r, mass, prefix, e.total_mass
 
 
@@ -681,8 +681,8 @@ class TestGalileanShift:
 
 
 def stable_sorted_mass_profile(r, mass):
-    """Oracle of `_sorted_mass_profile`: one stable argsort, whatever
-    the order of the radii."""
+    """Oracle of `_RadialOrder`: one stable argsort, whatever the order
+    of the radii."""
     order = np.argsort(r, kind="stable")
     prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
     return r[order], mass[order], prefix, order
@@ -723,9 +723,9 @@ def argsort_kinds(monkeypatch):
     return kinds
 
 
-class TestSortedMassProfile:
-    """The profile picks its argsort by how scrambled the radii are;
-    the result must be the stable sort's, bit for bit."""
+class TestRadialOrder:
+    """The sort picks its argsort by how scrambled the radii are; the
+    result must be the stable sort's, bit for bit."""
 
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     @pytest.mark.parametrize("kind", ORDERS)
@@ -734,7 +734,7 @@ class TestSortedMassProfile:
         rng = np.random.default_rng([n, ORDERS.index(kind), ties])
         r = radii_in_order(rng, n, kind, ties)
         mass = rng.uniform(0.1, 1.0, n)
-        *got, tied = _sorted_mass_profile(r, mass)
+        *got, tied = _RadialOrder(mass)(r)
         want = stable_sorted_mass_profile(r, mass)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -749,9 +749,10 @@ class TestSortedMassProfile:
         rng = np.random.default_rng([n, ORDERS.index(kind), ties, 1])
         r = radii_in_order(rng, n, kind, ties)
         mass = np.full(n, 1.0 / 3.0)
-        prefix = _equal_mass_prefix(mass)
+        sort = _RadialOrder(mass)
+        prefix = sort.equal_prefix
         assert not prefix.flags.writeable
-        *got, tied = _sorted_mass_profile(r, mass, prefix)
+        *got, tied = sort(r)
         assert got[1] is mass and got[2] is prefix
         want = stable_sorted_mass_profile(r, mass)
         for a, b in zip(got, want):
@@ -764,8 +765,9 @@ class TestSortedMassProfile:
         r = radii_in_order(rng, 1000, "scrambled", True)
         mass = np.full(1000, 1.0 / 3.0)
         mass[odd] = np.nextafter(mass[odd], 1.0)
-        assert _equal_mass_prefix(mass) is None
-        *got, _ = _sorted_mass_profile(r, mass, _equal_mass_prefix(mass))
+        sort = _RadialOrder(mass)
+        assert sort.equal_prefix is None
+        *got, _ = sort(r)
         for a, b in zip(got, stable_sorted_mass_profile(r, mass)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -780,12 +782,13 @@ class TestSortedMassProfile:
         # both branches are exercised by the oracle test above, and a tie
         # on the default branch sorts again with the stable sort
         rng = np.random.default_rng(7)
-        _sorted_mass_profile(radii_in_order(rng, n, kind, ties), np.ones(n))
+        _RadialOrder(np.ones(n))(radii_in_order(rng, n, kind, ties))
         assert argsort_kinds == (calls + ["stable"] if ties and calls == [None] else calls)
 
     def test_scrambled_run_equals_stable_run(self, argsort_kinds, monkeypatch):
         # an escaping shell scrambles its radii within a few steps; the
         # records must not depend on which argsort ordered them
+        import vpshell.diagnostics as diagnostics
         import vpshell.dynamics as dynamics
         from vpshell import IntegratorConfig, ShellSpec, build_shell
 
@@ -800,11 +803,11 @@ class TestSortedMassProfile:
         chosen = records()
         assert None in argsort_kinds  # the default argsort ordered some steps
 
-        def stable_profile(r, mass, equal_prefix=None, previous=None):
-            r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, mass)
+        def stable_profile(sort, r):
+            r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, sort.mass)
             return r_sorted, m_sorted, prefix, order, bool(np.any(r_sorted[1:] == r_sorted[:-1]))
 
-        monkeypatch.setattr(dynamics, "_sorted_mass_profile", stable_profile)
+        monkeypatch.setattr(diagnostics._RadialOrder, "__call__", stable_profile)
         assert chosen == records()
 
 
@@ -832,30 +835,41 @@ def masses(rng, n, kind):
 
 
 class TestWarmProfile:
-    """Scrambled radii sort from the previous profile's order when only
-    a few shells crossed since; the result must be the stable sort's,
-    bit for bit, and the previous prefix is kept only while the sorted
-    masses are the same."""
+    """Scrambled radii sort from the last sort's order when only a few
+    shells crossed since; the result must be the stable sort's, bit for
+    bit, and the last prefix is kept only while the sorted masses are
+    the same.  `general_order` gathers and sums even equal masses."""
 
     N = 4000
 
-    def scrambled_with_previous(self, seed, kind):
+    def scrambled_with_previous(self, seed, kind, order=general_order):
+        """rng, radii r0, masses, a sort whose last call sorted r0 and the
+        (m_sorted, prefix, order) it keeps."""
         rng = np.random.default_rng(seed)
         r0 = rng.permutation(np.sort(rng.uniform(0.5, 3.0, self.N)))
         mass = masses(rng, self.N, kind)
         assert _scrambled(r0)
-        return rng, r0, mass, tuple(_sorted_mass_profile(r0, mass)[1:4])
+        sort = order(mass)
+        profile = sort(r0)
+        assert self.keeps(sort, profile)
+        return rng, r0, mass, sort, tuple(profile[1:4])
+
+    @staticmethod
+    def keeps(sort, profile):
+        # the sort holds the arrays of its last call, no older ones
+        return len(sort._last) == 3 and all(
+            a is b for a, b in zip(sort._last, profile[1:4]))
 
     @pytest.mark.parametrize("kind", MASSES)
     @pytest.mark.parametrize("count", [1, 5, 40])
     def test_equals_stable_oracle(self, kind, count, argsort_kinds):
-        rng, r0, mass, previous = self.scrambled_with_previous([count, MASSES.index(kind)], kind)
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(
+            [count, MASSES.index(kind)], kind)
         r, _ = swapped_neighbours(rng, r0, previous[2], count)
         del argsort_kinds[:]
-        handed = list(previous)
-        *got, tied = _sorted_mass_profile(r, mass, None, handed)
+        *got, tied = sort(r)
         assert argsort_kinds == ["stable"]  # one warm sort, no cold one
-        assert handed == []  # the sort holds the last arrays, not the caller
+        assert self.keeps(sort, got)
         want = stable_sorted_mass_profile(r, mass)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -873,18 +887,17 @@ class TestWarmProfile:
         # across the groups builds a new one
         reused = []
         for seed in range(20):
-            rng, r0, mass, previous = self.scrambled_with_previous(seed, "two values")
+            rng, r0, mass, sort, previous = self.scrambled_with_previous(seed, "two values")
             r, _ = swapped_neighbours(rng, r0, previous[2], 3)
-            reused.append(_sorted_mass_profile(r, mass, None, list(previous))[2] is previous[1])
+            reused.append(sort(r)[2] is previous[1])
         assert any(reused) and not all(reused)
 
     def test_equal_prefix_wins(self):
-        rng, r0, mass, _ = self.scrambled_with_previous(3, "one value")
-        prefix = _equal_mass_prefix(mass)
-        previous = _sorted_mass_profile(r0, mass, prefix)[1:4]
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(
+            3, "one value", _RadialOrder)
         r, _ = swapped_neighbours(rng, r0, previous[2], 5)
-        *got, _ = _sorted_mass_profile(r, mass, prefix, list(previous))
-        assert got[1] is mass and got[2] is prefix
+        *got, _ = sort(r)
+        assert got[1] is mass and got[2] is sort.equal_prefix
         for a, b in zip(got, stable_sorted_mass_profile(r, mass)):
             assert a.tobytes() == b.tobytes()
 
@@ -892,37 +905,36 @@ class TestWarmProfile:
     def test_tie_takes_cold_sort(self, kind, argsort_kinds):
         # each tie puts the higher index first in the previous order; the
         # stable sort puts it second, so only the cold sort gets it right
-        rng, r0, mass, previous = self.scrambled_with_previous(5, kind)
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(5, kind)
         order = previous[2]
         r, (a, b) = swapped_neighbours(rng, r0, order, 20)
         higher_first = a > b
         r[b[higher_first]] = r[a[higher_first]]
         r[a[~higher_first]] = r[b[~higher_first]]
         del argsort_kinds[:]
-        handed = list(previous)
-        *got, tied = _sorted_mass_profile(r, mass, None, handed)
+        *got, tied = sort(r)
         assert argsort_kinds == ["stable", None, "stable"]
-        assert handed == []
+        assert self.keeps(sort, got)
         want = stable_sorted_mass_profile(r, mass)
         for x, y in zip(got, want):
             assert x.tobytes() == y.tobytes()
         assert tied is True
 
     def test_nan_takes_cold_sort(self):
-        rng, r0, mass, previous = self.scrambled_with_previous(6, "two values")
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(6, "two values")
         r, _ = swapped_neighbours(rng, r0, previous[2], 5)
         r[previous[2][self.N // 2]] = np.nan
-        *got, tied = _sorted_mass_profile(r, mass, None, list(previous))
+        *got, tied = sort(r)
         for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
             assert x.tobytes() == y.tobytes()
         assert tied is True
 
     def test_still_scrambled_takes_cold_sort(self, argsort_kinds):
         # the previous order of other radii leaves these scrambled
-        rng, r0, mass, previous = self.scrambled_with_previous(7, "two values")
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(7, "two values")
         r = rng.permutation(r0)
         del argsort_kinds[:]
-        *got, _ = _sorted_mass_profile(r, mass, None, list(previous))
+        *got, _ = sort(r)
         assert argsort_kinds == [None]
         for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
             assert x.tobytes() == y.tobytes()
@@ -931,7 +943,56 @@ class TestWarmProfile:
         rng = np.random.default_rng(8)
         r = radii_in_order(rng, 1000, "nearly sorted", False)
         mass = rng.uniform(0.1, 1.0, 1000)
-        # not a profile: reading it would raise
-        *got, _ = _sorted_mass_profile(r, mass, None, previous=("not", "read"))
+        sort = _RadialOrder(mass)
+        sort._last = ("not", "read")  # not a profile: reading it would raise
+        *got, _ = sort(r)
         for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
             assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("kind", MASSES)
+    def test_nearly_sorted_radii_keep_no_order(self, kind):
+        # a static core sorts cold at every step, so no last order may
+        # stay alive beside the arrays of the next sort
+        rng, r0, mass, sort, _ = self.scrambled_with_previous(9, kind)
+        sort(np.sort(r0))
+        assert sort._last is None
+        sort(r0)
+        assert sort._last is not None
+        sort(radii_in_order(rng, self.N, "nearly sorted", False))
+        assert sort._last is None
+
+
+class TestRecordParticleOrder:
+    """`diagnostics_record` does not depend on particle order: the cells
+    read from the sorted radii are bitwise equal under any permutation of
+    the particles, and the sums in particle order agree within 1e-13
+    relative.  Radii are distinct, so the sorted order is unique, and
+    every w is positive, so no particle-order sum cancels."""
+
+    SUMMED = ("E", "E_kin", "M", "var_x", "dilation", "conformal")
+    R_GRID, Q_LIST = (0.8, 1.5, 2.5), (1.0, 5.0 / 3.0, 3.0)
+
+    @staticmethod
+    def ensemble(rng):
+        n = int(rng.integers(100, 3000))
+        kind = MASSES[int(rng.integers(len(MASSES)))]
+        groups = np.where(rng.random(n) < 0.3, "shell", "core")
+        return Ensemble(0.7, rng.uniform(0.5, 3.0, n), rng.uniform(0.05, 1.0, n),
+                        rng.uniform(0.0, 0.5, n), masses(rng, n, kind) / n, groups)
+
+    def test_permutations(self):
+        header = diagnostics_header(self.R_GRID, self.Q_LIST).split(",")
+        summed = np.isin(header, self.SUMMED)
+        assert summed.sum() == len(self.SUMMED)
+        for seed in range(12):
+            rng = np.random.default_rng([2025, seed])
+            e = self.ensemble(rng)
+            assert np.unique(e.r).size == e.n
+            want = diagnostics_record(e, self.R_GRID, self.Q_LIST)
+            for _ in range(4):
+                p = rng.permutation(e.n)
+                permuted = Ensemble(e.time, e.r[p], e.w[p], e.ell[p], e.mass[p], e.group[p])
+                got = diagnostics_record(permuted, self.R_GRID, self.Q_LIST)
+                assert got[~summed].tobytes() == want[~summed].tobytes(), seed
+                assert np.all(np.abs(got[summed] - want[summed])
+                              <= 1e-13 * np.abs(want[summed])), seed

@@ -25,7 +25,8 @@ import vpshell.diagnostics as diagnostics
 import vpshell.dynamics as dynamics
 from vpshell.dynamics import _raw_adaptive_dt, _record_times, _selector, energy_drift, run
 from vpshell.kurth import phi_closed_form
-from conftest import FIELDS, assert_tables_bitwise_equal, homologous_ball, table_columns
+from conftest import (FIELDS, assert_tables_bitwise_equal, general_order, homologous_ball,
+                      table_columns)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -150,7 +151,7 @@ class TestAcceleration:
             odd = i % 2 and e.n > 1
             if odd:
                 mass[i % e.n] = 0.5
-            assert (dynamics._equal_mass_prefix(mass) is None) == odd
+            assert (diagnostics._RadialOrder(mass).equal_prefix is None) == odd
             old = searchsorted_acceleration(e.r, e.ell, mass)
             got = acceleration(Ensemble(0.0, e.r, e.w, e.ell, mass))
             assert got.tobytes() == old.tobytes()
@@ -490,10 +491,10 @@ class TestEqualMassPrefix:
 
     @staticmethod
     def assert_same_as_per_step_prefix(ensemble, config, monkeypatch, **kw):
-        assert dynamics._equal_mass_prefix(ensemble.mass) is not None
+        assert diagnostics._RadialOrder(ensemble.mass).equal_prefix is not None
         once = run(ensemble, config, **kw).records
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_equal_mass_prefix", lambda mass: None)
+            patch.setattr(dynamics, "_RadialOrder", general_order)
             per_step = run(ensemble, config, **kw).records
         assert_tables_bitwise_equal(once, per_step)
 
@@ -573,11 +574,11 @@ class TestWarmSort:
         """Returns how often the warm sort reused the last prefix, built
         a new one, or fell back to the cold sort."""
         counts = Counter()
-        warm_profile = diagnostics._warm_profile
+        warm_profile = diagnostics._RadialOrder._warm
 
-        def counted(r, mass, equal_prefix, previous):
-            last_prefix = previous[1]
-            profile = warm_profile(r, mass, equal_prefix, previous)
+        def counted(sort, r):
+            last_prefix = sort._last[1]
+            profile = warm_profile(sort, r)
             if profile is None:
                 counts["cold"] += 1
             elif profile[2] is last_prefix:
@@ -589,14 +590,11 @@ class TestWarmSort:
                 counts["rebuilt"] += 1
             return profile
 
-        sort = dynamics._sorted_mass_profile
         with monkeypatch.context() as patch:
-            patch.setattr(diagnostics, "_warm_profile", counted)
+            patch.setattr(diagnostics._RadialOrder, "_warm", counted)
             warm = run(ensemble, config, **cls.KW).records
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_sorted_mass_profile",
-                          lambda r, mass, equal_prefix=None, previous=None:
-                          sort(r, mass, equal_prefix))
+            patch.setattr(diagnostics._RadialOrder, "_warm", lambda sort, r: None)
             cold = run(ensemble, config, **cls.KW).records
         assert_tables_bitwise_equal(warm, cold)
         return counts
