@@ -44,7 +44,6 @@ __all__ = [
 EPS_STRONG_FRAC = 1.0e-2  # density norm counts as vanished below this x initial
 EPS_VIR_FRAC = 1.0e-2  # virial metric counts as zero below this x (|E| + E_kin(0))
 MASS_TOL_FRAC = 1.0e-2  # concentration plateau tolerance, fraction of M
-EXPONENT_TOL = 0.1  # allowed deviation of the t^2 growth exponent
 STAT_GROWTH_FACTOR = 10.0  # variance growth factor standing in for "unbounded"
 PLATEAU_TOL_FRAC = 2.0e-2  # agreement of the largest-R concentration values
 
@@ -112,7 +111,6 @@ class ClassificationReport:
     virialized: bool | None = None
     virial_metric_final: float | None = None
     virial_metric_trace: tuple = ()  # downsampled ((t, value), ...) pairs
-    interpolation_ratio_max: float | None = None
     threshold: ThresholdCheck | None = None
     propositions: tuple = ()
     notes: tuple = ()
@@ -143,8 +141,13 @@ def _linear_slope(x, y):
     return slope, math.sqrt(var / sxx)
 
 
-def _fit_window(series: TimeSeries):
-    """(t, v) of the window that `growth_exponent` fits, or None."""
+def growth_exponent(series: TimeSeries):
+    """Power-law exponent of the trailing half of a positive series.
+
+    Returns None (not applicable) when there are fewer than 10 usable
+    samples, the positive times span less than a decade, or any value
+    in the fit window is non-positive.
+    """
     pos = series.times > 0.0
     t = series.times[pos]
     v = series.values[pos]
@@ -154,31 +157,8 @@ def _fit_window(series: TimeSeries):
     t, v = t[start:], v[start:]
     if np.any(v <= 0.0):
         return None
-    return t, v
-
-
-def growth_exponent(series: TimeSeries):
-    """Power-law exponent of the trailing half of a positive series.
-
-    Returns None (not applicable) when there are fewer than 10 usable
-    samples, the positive times span less than a decade, or any value
-    in the fit window is non-positive.
-    """
-    window = _fit_window(series)
-    if window is None:
-        return None
-    t, v = window
     slope, stderr = _linear_slope(np.log(t), np.log(v))
     return GrowthFit(slope, 2.0 * stderr, int(t.size), (float(t[0]), float(t[-1])))
-
-
-def _half_exponents(series: TimeSeries):
-    """Power-law exponents of the two halves of the `growth_exponent`
-    fit window (which must exist)."""
-    t, v = _fit_window(series)
-    x, y = np.log(t), np.log(v)
-    mid = x.size // 2
-    return _linear_slope(x[:mid], y[:mid])[0], _linear_slope(x[mid:], y[mid:])[0]
 
 
 def strong_dispersion_test(series: TimeSeries, q):
@@ -330,7 +310,34 @@ def _is_flat(values):
     return float(values.max() - values.min()) <= 1.0e-2 * scale
 
 
-def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes, variance):
+def _variance_margin(run_data: ParsedRun):
+    """(smallest margin, its time) of the variance bound, or None when
+    the table has no `dilation` column.
+
+    With D the dilation moment, dD/dt = 2E + E_pot + S >= 2E (S the
+    self-energy that the forces leave out), so over the elapsed time t
+
+        var(t) >= var(0) + 2 D(0) t/M + 2 E(0) t^2/M
+
+    (Illner and Rein 1996; Perthame 1996).  The table's E drifts by
+    delta(t) = max_{s<=t} |E(s) - E(0)|, which lowers the bound by at
+    most 2 t^2 delta(t)/M: the margin is var - bound + 2 t^2 delta/M.
+    It is 0 at the first row by construction, so the smallest is taken
+    over the rows after it (a table has at least two).
+    """
+    if run_data.dilation is None:
+        return None
+    t = run_data.times - run_data.times[0]
+    energy, mass = run_data.energy, run_data.mass[0]
+    drift = np.maximum.accumulate(np.abs(energy - energy[0]))
+    bound = (run_data.variance[0] + 2.0 * run_data.dilation[0] * t / mass
+             + 2.0 * energy[0] * t**2 / mass)
+    margin = (run_data.variance - bound + 2.0 * t**2 * drift / mass)[1:]
+    i = int(np.argmin(margin))
+    return float(margin[i]), float(run_data.times[i + 1])
+
+
+def check_propositions(threshold: ThresholdCheck, label, epot_vanishes, variance_margin):
     """Consistency checks tying the label to the conserved quantities,
     read from the E vs |Q|^2/(2M) `threshold` that `classify` decided.
 
@@ -339,12 +346,8 @@ def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes, 
 
     * necessary-energy: a totally or strongly dispersive label requires
       E >= |Q|^2 / (2M);
-    * variance-growth: E > |Q|^2 / (2M) forces the variance exponent
-      into 2 +- EXPONENT_TOL once the fit has converged.  On a miss the
-      `variance` series that `growth` fits is read: when the exponents
-      of its fit window's two halves differ by more than the fit's
-      band, the t^2 regime has not arrived within the horizon, and the
-      check is not-applicable with both exponents in its detail;
+    * variance-lower-bound: the smallest `_variance_margin`, a
+      (margin, time) pair or None without a dilation column, is >= 0;
     * field-energy-equivalence: a totally/strongly dispersive label is
       equivalent to the field energy decaying to zero;
     * steady and periodic energy bounds: E < 0, resp. E < -|Q|^2/(2M).
@@ -362,23 +365,13 @@ def check_propositions(threshold: ThresholdCheck, label, growth, epot_vanishes, 
     else:
         checks.append(PropositionCheck("necessary-energy", "not-applicable"))
 
-    if relation == "greater":
-        if growth is None:
-            checks.append(PropositionCheck(
-                "variance-growth", "fail", "no usable variance fit"))
-        else:
-            status, detail = "pass", f"exponent={growth.exponent:.4f}"
-            if abs(growth.exponent - 2.0) > EXPONENT_TOL:
-                early, late = _half_exponents(variance)
-                # a drift at rounding level counts as converged
-                if abs(late - early) > growth.band + 1.0e-9:
-                    status = "not-applicable"
-                    detail += f", not converged: halves {early:.4f} then {late:.4f}"
-                else:
-                    status = "fail"
-            checks.append(PropositionCheck("variance-growth", status, detail))
+    if variance_margin is None:
+        checks.append(PropositionCheck("variance-lower-bound", "not-applicable"))
     else:
-        checks.append(PropositionCheck("variance-growth", "not-applicable"))
+        margin, at = variance_margin
+        checks.append(PropositionCheck(
+            "variance-lower-bound", "pass" if margin >= 0.0 else "fail",
+            f"smallest margin={margin:.6g} at t={at:.6g}"))
 
     if epot_vanishes is None or label == "undetermined":
         checks.append(PropositionCheck("field-energy-equivalence", "not-applicable"))
@@ -405,11 +398,12 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
     """Full decision cascade over a run's table.
 
     `run_data` is a `csvio.ParsedRun`; its optional columns
-    (`energy_kinetic`, `energy_potential`, `conformal`) are None when a
-    source does not emit them.  `momentum` is |Q| (identically zero for
-    the reduced spherical representation, kept explicit for boosted
-    bookkeeping).  A non-finite energy, a negative |Q|, a total mass
-    outside (0, inf) or a non-finite Q^2/(2M) raises DomainError.
+    (`energy_kinetic`, `energy_potential`, `dilation`, `conformal`) are
+    None when a source does not emit them.  `momentum` is |Q|
+    (identically zero for the reduced spherical representation, kept
+    explicit for boosted bookkeeping).  A non-finite energy, a negative
+    |Q|, a total mass outside (0, inf) or a non-finite Q^2/(2M) raises
+    DomainError.
 
     The necessary condition E >= |Q|^2/(2M) gates the label: below it
     the strong and total branches are skipped, with a note when one of
@@ -501,14 +495,9 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
         "partially-dispersive",
     )
 
-    # Monitored only: the ratio norm_{5/3}^{5/3} t^2 / conformal moment
-    # stays bounded for regular data; no inequality constant is checked.
-    ratio_max = _interpolation_ratio_max(run_data, times)
-    if ratio_max is not None:
-        notes.append(f"interpolation ratio bounded by {ratio_max:.4g}")
-
     epot_vanishes = None if epot is None else _epot_vanishing(times, epot)
-    propositions = check_propositions(threshold, label, growth, epot_vanishes, var_series)
+    propositions = check_propositions(threshold, label, epot_vanishes,
+                                      _variance_margin(run_data))
 
     return ClassificationReport(
         label=label,
@@ -521,23 +510,10 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
         virialized=virialized,
         virial_metric_final=metric_final,
         virial_metric_trace=metric_trace,
-        interpolation_ratio_max=ratio_max,
         threshold=threshold,
         propositions=propositions,
         notes=tuple(notes),
     )
-
-
-def _interpolation_ratio_max(run_data, times):
-    conformal = run_data.conformal
-    q = 5.0 / 3.0
-    if conformal is None or q not in run_data.lq:
-        return None
-    mask = (times > 0.0) & (conformal > 0.0)
-    if not np.any(mask):
-        return None
-    ratio = run_data.lq[q][mask] ** q * times[mask] ** 2 / conformal[mask]
-    return float(np.max(ratio))
 
 
 def _threshold(energy, momentum_term, ekin0):

@@ -186,6 +186,10 @@ def _validated(values, lines=None):
         raise bad("q_list", "exponents must be >= 1")
     if any(radius <= 0.0 for radius in values["r_grid"]):
         raise bad("r_grid", "ball radii must be positive")
+    for key in ("r_grid", "q_list"):
+        # a repeated value would name two columns alike
+        if len(set(values[key])) < len(values[key]):
+            raise bad(key, "values must not repeat")
     return RunConfig(values["scenario"], values)
 
 

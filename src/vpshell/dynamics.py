@@ -148,19 +148,18 @@ def _raw_adaptive_dt(r, w, accel, config, t):
 
     dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
     clamped to [dt_min, output_cadence].  A force time scale
-    safety * sqrt(r/|a|) below dt_min raises StiffnessError at t: no
-    admissible step resolves the force.  The kinematic scale r/|w| is
-    clamped: it shrinks geometrically as a shell nears the centre, which
-    only a step of dt_min reaches, to be reflected or rejected there.
-    So is a force scale of exactly 0, an infinite force, whose step
-    turns the state non-finite (NumericalError); NaN is returned as is.
+    safety * sqrt(r/|a|) below dt_min, 0 for an infinite force included,
+    raises StiffnessError at t: no admissible step resolves the force.
+    The kinematic scale r/|w| is clamped: it shrinks geometrically as a
+    shell nears the centre, which only a step of dt_min reaches, to be
+    reflected or rejected there.  NaN is returned as is.
     """
     # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
     dt_kin = np.min(r / (np.abs(w) + eps))
     dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
     force_dt = config.dt_safety * float(dt_dyn)
-    if 0.0 < force_dt < config.dt_min:
+    if force_dt < config.dt_min:
         raise StiffnessError(
             f"force time scale {force_dt:.3g} below dt_min = {config.dt_min:.3g}", time=t
         )

@@ -14,23 +14,25 @@ from vpshell.classify import (
     strong_dispersion_test,
     virialization_metric,
     _detect_period,
+    _variance_margin,
 )
 from vpshell.csvio import ParsedRun
 from vpshell.dynamics import IntegratorConfig, _record_times, run
 from vpshell.errors import DomainError
-from vpshell.scenarios import ShellSpec, build_shell
+from vpshell.scenarios import CoreSpec, ShellSpec, build_shell, build_shell_plus_core
 
 
-def make_run(times, variance, conc=None, lq=None, ekin=None, epot=None):
+def make_run(times, variance, conc=None, lq=None, ekin=None, epot=None, energy=0.0,
+             dilation=None):
     times = np.asarray(times, dtype=float)
     return ParsedRun(
         times=times,
-        energy=np.zeros_like(times),
+        energy=np.full_like(times, energy),
         energy_kinetic=None if ekin is None else np.asarray(ekin, float),
         energy_potential=None if epot is None else np.asarray(epot, float),
         mass=np.ones_like(times),
         variance=np.asarray(variance, dtype=float),
-        dilation=None,
+        dilation=None if dilation is None else np.full_like(times, dilation),
         conformal=None,
         inner_radius=np.zeros_like(times),
         outer_radius=np.ones_like(times),
@@ -166,65 +168,102 @@ class TestCheckPropositions:
         return {c.name: c.status for c in checks}[name]
 
     def test_dispersive_label_requires_energy_above_threshold(self):
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", None, True, None)
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", True, None)
         assert self.status(checks, "necessary-energy") == "pass"
-        bad = check_propositions(self.BELOW, "totally-dispersive", None, True, None)
+        bad = check_propositions(self.BELOW, "totally-dispersive", True, None)
         assert self.status(bad, "necessary-energy") == "fail"
 
     def test_variance_growth_check(self):
-        from vpshell.classify import GrowthFit
-
-        good = GrowthFit(1.95, 0.01, 50, (10.0, 100.0))
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", good, True, None)
-        assert self.status(checks, "variance-growth") == "pass"
-        slow = GrowthFit(1.3, 0.01, 50, (10.0, 100.0))
-        t = np.linspace(0.0, 100.0, 101)
-        series = TimeSeries(t, 0.6 * t**1.3)  # a miss reads its series
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", slow, True, series)
-        assert self.status(checks, "variance-growth") == "fail"
-        # E = Q^2/2M exactly: the t^2 bound does not apply
-        checks = check_propositions(ThresholdCheck(0.0, 0.0, "equal"), "strongly-dispersive", slow,
-                                    True, series)
-        assert self.status(checks, "variance-growth") == "not-applicable"
+        # the smallest margin of the variance bound decides, at any E
+        for threshold in (self.ABOVE, self.BELOW):
+            checks = {c.name: c for c in check_propositions(
+                threshold, "strongly-dispersive", True, (0.0, 0.0))}
+            assert checks["variance-lower-bound"].status == "pass"
+            bad = {c.name: c for c in check_propositions(
+                threshold, "strongly-dispersive", True, (-1.5e-3, 12.5))}
+            assert bad["variance-lower-bound"].status == "fail"
+            assert bad["variance-lower-bound"].detail == "smallest margin=-0.0015 at t=12.5"
+        # no dilation column: the bound cannot be formed
+        checks = check_propositions(self.ABOVE, "strongly-dispersive", True, None)
+        assert self.status(checks, "variance-lower-bound") == "not-applicable"
 
     TIMES = np.array(_record_times(0.0, 400.0, 0.5))
 
-    def variance_check(self, values):
-        series = TimeSeries(self.TIMES, values)
-        checks = check_propositions(self.ABOVE, "strongly-dispersive", growth_exponent(series),
-                                    True, series)
-        return {c.name: c for c in checks}["variance-growth"]
-
-    def test_unconverged_variance_fit_not_applicable(self):
-        # exact Kurth k = 1.05: the fitted exponent 1.75 misses 2 while the
-        # exponents of the window's two halves still differ by 0.02
-        phi, _ = kurth.phi_closed_form(self.TIMES, 1.05)
-        check = self.variance_check(kurth.kurth_variance(phi))
-        assert check.status == "not-applicable"
-        assert check.detail.startswith("exponent=1.7473, not converged: halves ")
-        early, late = (float(word) for word in check.detail.split()[-3::2])
-        assert late - early > 0.01
-
     def test_converged_slow_growth_still_fails(self):
         # negative control: variance growing like t (or t^1.3) at E > 0
-        # has two equal half-window exponents, so the miss is a failure
+        # falls below var(0) + 2 E t^2/M, however straight its log-log fit
         for values in (0.6 * self.TIMES, 0.6 * self.TIMES**1.3):
-            assert self.variance_check(values).status == "fail"
-        run = make_run(self.TIMES, 0.6 * self.TIMES)
-        checks = {c.name: c.status for c in classify(run, 0.5, 0.0, 1.0).propositions}
-        assert checks["variance-growth"] == "fail"
+            run = make_run(self.TIMES, values, energy=0.5, dilation=0.0)
+            checks = {c.name: c.status for c in classify(run, 0.5, 0.0, 1.0).propositions}
+            assert checks["variance-lower-bound"] == "fail"
+        # and a curved one: 2 + 0.6 t^1.3 at E = 0.1, M = 1, D(0) = 0
+        # falls below the bound 2 + 0.2 t^2 from t ~ 4.8 on (74.6 against
+        # 322 at t = 40)
+        times = self.TIMES[self.TIMES <= 40.0]
+        run = make_run(times, 2.0 + 0.6 * times**1.3, energy=0.1, dilation=0.0)
+        check = {c.name: c for c in classify(run, 0.1, 0.0, 1.0).propositions}
+        margin, at = _variance_margin(run)
+        assert at == 40.0
+        assert margin == pytest.approx(0.6 * 40.0**1.3 - 0.2 * 40.0**2)
+        assert check["variance-lower-bound"].status == "fail"
+        assert check["variance-lower-bound"].detail == f"smallest margin={margin:.6g} at t=40"
 
     def test_field_energy_equivalence(self):
-        checks = check_propositions(self.ABOVE, "partially-dispersive", None, False, None)
+        checks = check_propositions(self.ABOVE, "partially-dispersive", False, None)
         assert self.status(checks, "field-energy-equivalence") == "pass"
-        bad = check_propositions(self.ABOVE, "partially-dispersive", None, True, None)
+        bad = check_propositions(self.ABOVE, "partially-dispersive", True, None)
         assert self.status(bad, "field-energy-equivalence") == "fail"
 
     def test_steady_needs_negative_energy(self):
-        ok = check_propositions(ThresholdCheck(-0.1, 0.0, "less"), "steady", None, False, None)
+        ok = check_propositions(ThresholdCheck(-0.1, 0.0, "less"), "steady", False, None)
         assert self.status(ok, "steady-energy") == "pass"
-        bad = check_propositions(ThresholdCheck(0.1, 0.0, "greater"), "steady", None, False, None)
+        bad = check_propositions(ThresholdCheck(0.1, 0.0, "greater"), "steady", False, None)
         assert self.status(bad, "steady-energy") == "fail"
+
+
+class TestVarianceLowerBound:
+    """var(t) >= var(0) + 2 D(0) t/M + 2 E(0) t^2/M, less the drift of E."""
+
+    @staticmethod
+    def bound_check(table):
+        report = classify(table, float(table.energy[0]), 0.0, float(table.mass[0]))
+        return {c.name: c for c in report.propositions}["variance-lower-bound"]
+
+    def escaping_shell(self):
+        ensemble, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=0.5,
+                                            w_max=0.6, n=400, seed=3))
+        return run(ensemble, IntegratorConfig(t_end=40.0, output_cadence=0.5)).records
+
+    def shell_plus_core(self):
+        ensemble, _ = build_shell_plus_core(
+            CoreSpec(mass=1.0, radius=1.0, n=400, seed=4),
+            ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48, n=100,
+                      seed=5))
+        return run(ensemble, IntegratorConfig(t_end=40.0, output_cadence=0.5)).records
+
+    @pytest.mark.parametrize("builder, sign", [("escaping_shell", 1.0),
+                                               ("shell_plus_core", -1.0)])
+    def test_simulator_runs_pass(self, builder, sign):
+        table = getattr(self, builder)()
+        assert sign * table.energy[0] > 0.0
+        check = self.bound_check(table)
+        assert check.status == "pass", check.detail
+        # the margin grows from 0 at t = 0, so the first row after it
+        # holds the smallest
+        margin, at = _variance_margin(table)
+        assert margin > 0.0 and at == 0.5
+        assert check.detail == f"smallest margin={margin:.6g} at t=0.5"
+
+    def test_energy_drift_widens_the_bound(self):
+        # E falling from 0.1 to 0.04 after t = 0 lowers the bound by
+        # 2 t^2 delta/M, so a variance of 2 + 0.1 t^2 passes only through
+        # the drift
+        times = np.array(_record_times(0.0, 40.0, 0.5))
+        table = make_run(times, 2.0 + 0.1 * times**2, energy=0.1, dilation=0.0)
+        assert self.bound_check(table).status == "fail"
+        table.energy = np.where(times > 0.0, 0.04, 0.1)
+        assert self.bound_check(table).status == "pass"
+
 
 
 class TestClassifyCascade:
@@ -288,22 +327,6 @@ class TestClassifyCascade:
         assert not report.statistically_dispersive
         assert report.virialized
 
-    def test_interpolation_ratio_monitored(self):
-        # the monitored ratio norm^{5/3} t^2 / conformal moment is
-        # reported when both series are present
-        t = np.linspace(0.0, 400.0, 300)
-        run = make_run(
-            t,
-            0.6 * (1 + t) ** 2,
-            conc={1.0: 1 / (1 + t) ** 2, 4.0: 1 / (1 + t) ** 2},
-            lq={5.0 / 3.0: 0.56 * (1 + t) ** -1.5},
-        )
-        run.conformal = 1.0 + 0.5 * t**2
-        report = classify(run, 0.75, 0.0, 1.0)
-        assert report.interpolation_ratio_max is not None
-        assert report.interpolation_ratio_max > 0.0
-        assert any("interpolation ratio" in note for note in report.notes)
-
     def test_labels_never_break_implication_chain(self):
         # dispersive labels must carry the statistical flag
         t = np.linspace(0.0, 400.0, 300)
@@ -339,7 +362,6 @@ def oracle_report_dict(report):
         "virialized": report.virialized,
         "virial_metric_final": report.virial_metric_final,
         "virial_metric_trace": [list(pair) for pair in report.virial_metric_trace],
-        "interpolation_ratio_max": report.interpolation_ratio_max,
         "threshold_check": None
         if report.threshold is None
         else {
@@ -399,15 +421,12 @@ class TestNecessaryConditionGate:
         labels = dict(kurth_scan)
         assert labels[1.0].label == labels[-1.0].label == "strongly-dispersive"
 
-    def test_unconverged_variance_fits_are_not_applicable(self, kurth_scan):
-        # just above |k| = 1 the t^2 regime arrives after the horizon: the
-        # local exponent still rises across the fit window
-        skipped = [(k, p.status, p.detail) for k, r in kurth_scan for p in r.propositions
-                   if p.name == "variance-growth" and r.threshold.relation == "greater"
-                   and p.status != "pass"]
-        assert skipped
-        assert all(status == "not-applicable" and "not converged: halves" in detail
-                   for _, status, detail in skipped), skipped
+    def test_variance_bound_not_applicable(self, kurth_scan):
+        # a Kurth table has no dilation column, and its E is normalised
+        # otherwise than the simulator's
+        statuses = {p.status for _, r in kurth_scan for p in r.propositions
+                    if p.name == "variance-lower-bound"}
+        assert statuses == {"not-applicable"}
 
     def test_note_only_when_a_branch_is_skipped(self, kurth_scan):
         gated = {k for k, r in kurth_scan

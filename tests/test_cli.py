@@ -284,6 +284,8 @@ class TestKurthCommand:
         ("--q-list", "0.5"),
         ("--r-grid", "1.0,inf"),
         ("--r-grid", "abc"),
+        ("--r-grid", "1,1"),
+        ("--q-list", "2,2.0"),
     ])
     def test_bad_flag_exits_2(self, flag, value, tmp_path, capsys):
         args = {"--k": "0.5", "--t-end": "2", "--cadence": "1"}
@@ -641,6 +643,20 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "snapshot_times" in err and "line 14" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, repeated, line", [("r_grid", "1.0,1", 12),
+                                                     ("q_list", "2.0,2.0", 13)])
+    def test_repeated_column_value_exits_2(self, key, repeated, line, tmp_path, capsys):
+        # a repeated ball radius or exponent names two columns alike; it
+        # used to exit 0, computing each twice, and a read kept one of each
+        text = SHELL_CFG.format(t_end=1.0).splitlines()
+        text[line - 1] = f"{key} = {repeated}"
+        path = tmp_path / "twice.cfg"
+        path.write_text("\n".join(text) + "\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and f"line {line}" in err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_exits_2(self, shell_cfg, tmp_path, capsys):
