@@ -407,7 +407,11 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
 
     The necessary condition E >= |Q|^2/(2M) gates the label: below it
     the strong and total branches are skipped, with a note when one of
-    them would have fired.
+    them would have fired.  A converged concentration plateau above
+    MASS_TOL_FRAC * M (regime "partial" or "none") skips the strong
+    branch too, with a note: by Hoelder's inequality on a ball B_R,
+    ||rho||_q >= Q(R) / |B_R|^(1 - 1/q), so a decaying density norm
+    there is an artefact of the binning, not strong dispersion.
     """
     momentum = float(momentum)
     if not (math.isfinite(energy) and momentum >= 0.0 and 0.0 < total_mass < math.inf):
@@ -451,7 +455,12 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
     below = threshold.relation == "less"
     if below and (strong or conc["regime"] == "total"):
         notes.append("E < Q^2/2M: strong and total dispersion ruled out")
-    if strong and not below:
+    # Hoelder on B_R: ||rho||_q >= Q(R) / |B_R|^(1 - 1/q), so a mass that
+    # stays in a ball keeps every density norm away from 0
+    held = conc["regime"] in ("partial", "none")
+    if strong and held:
+        notes.append("concentration plateau above MASS_TOL_FRAC * M: strong dispersion ruled out")
+    if strong and not below and not held:
         label = "strongly-dispersive"
     elif conc["regime"] == "total" and not below:
         label = "totally-dispersive"

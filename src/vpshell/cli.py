@@ -84,7 +84,9 @@ def cmd_run(config: RunConfig, out_dir):
     """Execute one configured run; writes diagnostics.csv, snapshots and
     manifest.json into `out_dir`.  Returns the diagnostics path.
 
-    A single run is sequential, so `run --threads` has no effect on it.
+    `run --threads` changes nothing: `dynamics.run` computes each record
+    on one worker thread of its own while it steps on, and the output
+    bytes do not depend on threads.
     """
     return _run(config, out_dir)[0]
 
@@ -258,7 +260,7 @@ def _build_parser():
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="ignored: a single run is sequential (sweep uses it)")
+                       help="ignored: a run writes the same bytes at any count (sweep uses it)")
 
     p_kurth = sub.add_parser("kurth", help="analytic uniform-ball trajectory table")
     p_kurth.add_argument("--k", required=True, help="initial dilation rate")

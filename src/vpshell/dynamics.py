@@ -31,12 +31,25 @@ analytic Kurth tables share, merged with the snapshot times.  It steps
 towards each and lands on it exactly.  A record reads the raw arrays
 and the order the step's kernel sorted, and writes its row into the
 run's one table; only snapshots are `Ensemble`s.
+
+Records overlap the steps: `run()` hands each record to one worker
+thread and steps on.  It waits for record k before it hands over record
+k+1, so one record is in flight, owning the concentration workspace and
+holding one state.  A record reads r, w and the sort's arrays while the
+next steps run, so no step may write in place to r, w, accel or the
+arrays of `_RadialOrder` (a step makes new ones; the prefix is
+read-only).  A row is a pure function of its state, so the table's bytes
+do not depend on the thread.  numpy releases the interpreter lock in the
+sorts, gathers, prefix sums and large elementwise loops that a record
+spends its time in; on one CPU the overlap costs a few per cent.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,7 +322,13 @@ def run(
     the step sequence depends only on the state, and every reduction
     uses a fixed association order.  A non-finite step size or state
     raises NumericalError at the last finite time rather than ending
-    the table early.
+    the table early; the state is checked on the calling thread.
+
+    Records run on a one-thread executor that ends with the call (see
+    the module docstring), each in a copy of the caller's `contextvars`
+    context, so a caller's `np.errstate` holds there.  When the loop
+    raises with a record in flight, that record is waited for first, and
+    its error, due before the loop's, is the one raised.
     """
     t0 = ensemble.time
     cadence = config.output_cadence
@@ -334,32 +353,53 @@ def run(
     dt_cap = config.dt_initial  # caps the first step only
     time_tol = 1.0e-9 * cadence
     t = t0
-    for target, k in targets:
-        while t < target - time_tol:
-            dt = _raw_adaptive_dt(r, w, accel, config, t)
-            if not math.isfinite(dt):
-                raise NumericalError("non-finite step size", time=t)
-            profile = None  # free the last sort; `inv.sort` keeps what it reuses
-            r, w, accel, profile, dt = _accepted_step(
-                r, w, inv, accel, min(dt, dt_cap, target - t),
-                config.reflection_enabled, config.dt_min, t,
-            )
-            dt_cap = math.inf
-            t += dt
-        t = target
-        if k < 0:
-            sink.snapshots.append(_state(t, r, w, ell, mass, group))
-            continue
-        # ell and mass never change; NaN radii sort last
-        r_sorted = profile[0]
-        if not (r_sorted[0] > 0.0 and r_sorted[-1] < math.inf and np.isfinite(w).all()):
-            cause = DomainError("radii must be positive and finite, w finite")
-            raise NumericalError(f"invalid state: {cause}", time=t) from cause
-        raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell, work)
-        block[:, k] = diagnostics_record(
-            raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile[:3]
-        )
+    pending = None  # the record in flight
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            for target, k in targets:
+                while t < target - time_tol:
+                    dt = _raw_adaptive_dt(r, w, accel, config, t)
+                    if not math.isfinite(dt):
+                        raise NumericalError("non-finite step size", time=t)
+                    profile = None  # free the last sort; `inv.sort` keeps what it reuses
+                    r, w, accel, profile, dt = _accepted_step(
+                        r, w, inv, accel, min(dt, dt_cap, target - t),
+                        config.reflection_enabled, config.dt_min, t,
+                    )
+                    dt_cap = math.inf
+                    t += dt
+                t = target
+                if k < 0:
+                    sink.snapshots.append(_state(t, r, w, ell, mass, group))
+                    continue
+                # ell and mass never change; NaN radii sort last
+                r_sorted = profile[0]
+                if not (r_sorted[0] > 0.0 and r_sorted[-1] < math.inf
+                        and np.isfinite(w).all()):
+                    cause = DomainError("radii must be positive and finite, w finite")
+                    raise NumericalError(f"invalid state: {cause}", time=t) from cause
+                raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell, work)
+                # one record in flight: it owns `work` and holds one state
+                done, pending = pending, None
+                if done is not None:
+                    done.result()
+                pending = worker.submit(
+                    contextvars.copy_context().run, _record, block, k, raw,
+                    r_grid, q_list, n_bins, profile[:3],
+                )
+        finally:
+            # a record in flight was due before whatever the loop raised
+            if pending is not None:
+                pending.result()
     return sink
+
+
+def _record(block, k, raw, r_grid, q_list, n_bins, profile):
+    """Write the row of the `RawState` raw into column k of `block`."""
+    # the module global, looked up per call, so a wrapper of it sees the call
+    block[:, k] = diagnostics_record(
+        raw, r_grid=r_grid, q_list=q_list, n_bins=n_bins, profile=profile
+    )
 
 
 def energy_drift(sink: TrajectorySink):

@@ -457,6 +457,47 @@ class TestNecessaryConditionGate:
         assert not any("ruled out" in note for note in report.notes)
 
 
+class TestHolderGate:
+    """A mass that stays in a ball B_R keeps ||rho||_q >= Q(R)/|B_R|^(1-1/q):
+    a converged concentration plateau rules strong dispersion out."""
+
+    NOTE = "concentration plateau above MASS_TOL_FRAC * M: strong dispersion ruled out"
+
+    def test_decaying_norm_beside_a_plateau(self):
+        t = np.linspace(0.0, 400.0, 300)
+        table = make_run(t, 0.6 * (1 + t) ** 2, conc={4.0: np.full(t.size, 0.5),
+                                                      8.0: np.full(t.size, 0.5)},
+                         lq={5.0 / 3.0: 0.56 * (1 + t) ** -1.5})
+        report = classify(table, 0.5, 0.0, 1.0)
+        assert report.label == "partially-dispersive"
+        assert self.NOTE in report.notes
+        # no plateau: the same norm still reads strong, with no note
+        table.conc = {4.0: 1 / (1 + t), 8.0: 1 / (1 + t)}
+        report = classify(table, 0.5, 0.0, 1.0)
+        assert report.label == "strongly-dispersive" and self.NOTE not in report.notes
+
+    def test_bound_core_beside_escaping_shell(self):
+        # the shell escapes, so r_max and every bin of the L^q histogram
+        # grow like t and the binned norm of the core decays like
+        # t^(-3(1 - 1/q)), while the core stays: without the gate this
+        # reads strongly-dispersive
+        ensemble, _ = build_shell_plus_core(
+            CoreSpec(mass=1.0, radius=1.0, n=400, seed=1),
+            ShellSpec(mass=1.0, r_inner=2.0, r_outer=2.5, w_min=2.0, w_max=2.2, n=100,
+                      seed=2))
+        cfg = IntegratorConfig(t_end=500.0, output_cadence=5.0, dt_safety=0.05)
+        table = run(ensemble, cfg, r_grid=(1.0, 4.0, 8.0), q_list=(5.0 / 3.0,)).records
+        assert table.energy[0] > 0.0
+        assert strong_dispersion_test(TimeSeries(table.times, table.lq[5.0 / 3.0]),
+                                      5.0 / 3.0)[0]
+        report = classify(table, float(table.energy[0]), 0.0, float(table.mass[0]))
+        assert report.label == "partially-dispersive"
+        assert self.NOTE in report.notes
+        assert report.m_infinity == pytest.approx(1.0, abs=0.01)
+        checks = {c.name: c.status for c in report.propositions}
+        assert checks["field-energy-equivalence"] == "pass"
+
+
 class TestReportJson:
     """`to_dict` derives from the dataclasses; the oracle spells it out."""
 

@@ -3,6 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -420,25 +423,110 @@ class TestRun:
         masses = sink.records.mass
         assert np.all(masses == masses[0])
 
+    # r^3 underflows for the inner shell, so its acceleration is inf and
+    # the force time scale exactly 0
+    UNRESOLVABLE = ([1e-120, 1.0], [0.0, 0.0], [1e-60, 0.0], [1.0, 1.0])
+
     def test_non_finite_step_raises_at_last_finite_time(self):
-        # r^3 underflows for the inner shell, so its acceleration is inf
-        # and the force time scale exactly 0: the run stops where it is
-        e = Ensemble(0.0, [1e-120, 1.0], [0.0, 0.0], [1e-60, 0.0], [1.0, 1.0])
-        with np.errstate(all="ignore"), pytest.raises(StiffnessError) as err:
-            run(e, IntegratorConfig(t_end=10.0, output_cadence=1.0))
+        # the run stops where it is; the caller's errstate reaches the
+        # record of t = 0 too, so nothing warns
+        e = Ensemble(0.0, *self.UNRESOLVABLE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"), pytest.raises(StiffnessError) as err:
+                run(e, IntegratorConfig(t_end=10.0, output_cadence=1.0))
         assert err.value.time == 0.0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_non_finite_record_state_is_numerical_error(self):
         # a finite force, but the outer shell's radius overflows to inf
         # by the first record: the Ensemble check fails there and
         # surfaces as a NumericalError, not as the DomainError of a bad
-        # argument
+        # argument; the record of t = 0 overflows w^2 under the caller's
+        # errstate, so nothing warns
         e = Ensemble(0.0, [1.0, 1.7e308], [0.0, 1.7e308], [0.0, 0.0], [1.0, 1.0])
         cfg = IntegratorConfig(t_end=1.0, output_cadence=0.1)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-            run(e, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                run(e, cfg)
         assert isinstance(err.value.__cause__, DomainError)
         assert err.value.time == pytest.approx(0.1)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_record_error_wins_over_later_step_error(self, monkeypatch):
+        # the record of t = 0 is still in flight when the first step
+        # raises; serially the record would have raised first, so its
+        # error is the one run() raises
+        class RecordError(Exception):
+            pass
+
+        stepped = threading.Event()
+
+        def failing_record(*args, **kwargs):
+            stepped.wait(10.0)
+            raise RecordError
+
+        def adaptive_dt(*args):
+            stepped.set()
+            return _raw_adaptive_dt(*args)
+
+        monkeypatch.setattr(dynamics, "diagnostics_record", failing_record)
+        monkeypatch.setattr(dynamics, "_raw_adaptive_dt", adaptive_dt)
+        e = Ensemble(0.0, *self.UNRESOLVABLE)
+        with np.errstate(all="ignore"), pytest.raises(RecordError) as err:
+            run(e, IntegratorConfig(t_end=10.0, output_cadence=1.0))
+        assert stepped.is_set()
+        assert isinstance(err.value.__context__, StiffnessError)
+
+    def test_one_record_in_flight(self, monkeypatch):
+        # records overlap the next steps, never each other, and a step
+        # past the next record time waits for the record in flight: a
+        # wrapper of the module's diagnostics_record sees one call at a
+        # time, one per record, and no worker outlives run()
+        core = CoreSpec(mass=1.0, radius=1.0, n=300, seed=5)
+        shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
+                          n=100, seed=6)
+        ens = build_shell_plus_core(core, shell)[0]
+        cfg = IntegratorConfig(t_end=4.0, output_cadence=0.25, dt_safety=0.05)
+        kw = {"r_grid": (1.0, 4.0), "q_list": (5.0 / 3.0,)}
+        plain = run(ens, cfg, **kw).records
+        lock = threading.Lock()
+        in_flight = []
+        calls = []  # records in flight as each one starts
+        waited = []  # whether the steps stayed short of the next record time
+        stepped_from = [0.0]  # the time of the latest step
+        record = dynamics.diagnostics_record
+
+        def wrapped(raw, **kwargs):
+            with lock:
+                in_flight.append(None)
+                calls.append(len(in_flight))
+            time.sleep(0.002)  # a slow record: the steps catch up with it
+            try:
+                return record(raw, **kwargs)
+            finally:
+                with lock:
+                    in_flight.pop()
+                    waited.append(stepped_from[0] < raw.time + cfg.output_cadence)
+
+        def adaptive_dt(*args):
+            stepped_from[0] = args[-1]
+            return _raw_adaptive_dt(*args)
+
+        monkeypatch.setattr(dynamics, "diagnostics_record", wrapped)
+        monkeypatch.setattr(dynamics, "_raw_adaptive_dt", adaptive_dt)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            table = run(ens, cfg, **kw).records
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert calls == [1] * 17
+        assert all(waited) and len(waited) == 17
+        assert_tables_bitwise_equal(table, plain)
 
     def test_deterministic_rerun(self):
         import vpshell
