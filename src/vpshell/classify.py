@@ -411,7 +411,9 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
     MASS_TOL_FRAC * M (regime "partial" or "none") skips the strong
     branch too, with a note: by Hoelder's inequality on a ball B_R,
     ||rho||_q >= Q(R) / |B_R|^(1 - 1/q), so a decaying density norm
-    there is an artefact of the binning, not strong dispersion.
+    there is an artefact of the binning, not strong dispersion.  The
+    paper's sufficient condition E > |Q|^2/(2M) sets the statistical flag,
+    with a note.
     """
     momentum = float(momentum)
     if not (math.isfinite(energy) and momentum >= 0.0 and 0.0 < total_mass < math.inf):
@@ -498,7 +500,11 @@ def classify(run_data: ParsedRun, energy, momentum, total_mass):
         else:
             label = "undetermined"
 
-    stat_flag = stat_raw or label in (
+    # E > |Q|^2/(2M) sends the variance to infinity (the variance bound)
+    sufficient = threshold.relation == "greater"
+    if sufficient:
+        notes.append("E > Q^2/2M: statistically dispersive by the sufficient condition")
+    stat_flag = stat_raw or sufficient or label in (
         "strongly-dispersive",
         "totally-dispersive",
         "partially-dispersive",

@@ -18,7 +18,9 @@ gate in the tests.
 The step control suggests safety * min(r/|w|, sqrt(r/|a|)) within
 [dt_min, output_cadence].  A force time scale safety * sqrt(r/|a|)
 below dt_min raises StiffnessError: the run stops at that time rather
-than step on at dt_min with a force it cannot resolve.
+than step on at dt_min with a force it cannot resolve.  A scale is
+computed over all shells only when bounds from min/max reductions leave
+it able to set the step; dt keeps its bits (see `_raw_adaptive_dt`).
 
 Purely radial shells (ell = 0) that drift through the centre are
 reflected: r -> |r|, w -> -w.  A centre crossing with ell > 0 means the
@@ -156,7 +158,14 @@ def acceleration(ensemble: Ensemble):
     return _raw_acceleration(ensemble.r, _invariants(ensemble.ell, ensemble.mass))[0]
 
 
-def _raw_adaptive_dt(r, w, accel, config, t):
+# How many innermost shells the force scale is first taken over.  The
+# smallest scale is almost always at the centre: with 64, the inputs of
+# benchmark seed 1 certify it at 139 of 139 core-dynamics steps and 302
+# of 338 core-shell steps (290, 323 and 334 with 16, 256 and 1024).
+_INNER = 64
+
+
+def _raw_adaptive_dt(r, w, accel, config, t, profile=None):
     """Deterministic step suggestion from the state at time t.
 
     dt = safety * min over particles of min(r/|w|, sqrt(r/|a|)),
@@ -166,11 +175,41 @@ def _raw_adaptive_dt(r, w, accel, config, t):
     The kinematic scale r/|w| is clamped: it shrinks geometrically as a
     shell nears the centre, which only a step of dt_min reaches, to be
     reflected or rejected there.  NaN is returned as is.
+
+    With the `profile` of r, a scale is computed over all shells only
+    when it can set the step.  Every shell past the `_INNER` innermost
+    has r >= r_(K) = profile[0][_INNER] and |a| <= max|a|, so when
+    r_(K) / (max|a| + eps) is no smaller than the least r/(|a| + eps) of
+    those innermost, that least value is the minimum over all.  The
+    force scale cannot set the step when sqrt(min r / (max|a| + eps)) is
+    at least the kinematic scale and safety times it reaches dt_min; the
+    kinematic scale cannot when min r / (max|w| + eps) is at least the
+    force scale.  Each bound compares the expressions of the full
+    formula, and rounding is monotone, so dt keeps its bits; a NaN makes
+    every bound fail.
     """
     # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
-    dt_kin = np.min(r / (np.abs(w) + eps))
-    dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
+    a_max = max(accel.max(), -accel.min())
+    r_min = r.min() if profile is None else profile[0][0]
+    dt_dyn = None
+    # a NaN radius sorts last, where the test fails
+    if profile is not None and r.size > _INNER and profile[0][-1] < math.inf:
+        inner = profile[3][:_INNER]
+        least = np.min(r[inner] / (np.abs(accel[inner]) + eps))
+        if least <= profile[0][_INNER] / (a_max + eps):
+            dt_dyn = np.sqrt(least)
+    if dt_dyn is not None and r_min / (max(w.max(), -w.min()) + eps) >= dt_dyn:
+        dt_kin = dt_dyn  # the kinematic scale is no smaller
+    else:
+        dt_kin = np.min(r / (np.abs(w) + eps))
+        if dt_dyn is None:
+            floor = np.sqrt(r_min / (a_max + eps))
+            if floor >= dt_kin and config.dt_safety * float(floor) >= config.dt_min:
+                # the force scale is no smaller, and too large to raise
+                return min(max(config.dt_safety * float(dt_kin), config.dt_min),
+                           config.output_cadence)
+            dt_dyn = np.sqrt(np.min(r / (np.abs(accel) + eps)))
     force_dt = config.dt_safety * float(dt_dyn)
     if force_dt < config.dt_min:
         raise StiffnessError(
@@ -183,19 +222,24 @@ def _raw_adaptive_dt(r, w, accel, config, t):
 def _attempt_step(r, w, inv, accel, dt, reflection_enabled):
     """One kick-drift-kick attempt.  Returns None if the step must be
     rejected (centre crossing of a particle that cannot be reflected),
-    else (r, w, accel, profile)."""
-    w_half = w + (0.5 * dt) * accel
-    r_new = r + dt * w_half
-    crossed = r_new <= 0.0
-    if np.any(crossed):
+    else (r, w, accel, profile).  w_half and r_new are fresh arrays, so
+    the closing kick is added into w_half in place."""
+    h = 0.5 * dt
+    w_half = np.multiply(h, accel)
+    w_half += w
+    r_new = np.multiply(dt, w_half)
+    r_new += r
+    # a positive minimum rules out a crossing with no mask; a NaN fails
+    # the test but is no crossing
+    if not r_new.min() > 0.0 and np.any(crossed := r_new <= 0.0):
         radial = inv.ell == 0.0
         if not reflection_enabled or np.any(crossed & ~radial):
             return None
         w_half = np.where(crossed, -w_half, w_half)
         r_new = np.where(crossed, np.maximum(np.abs(r_new), _TINY), r_new)
     accel_new, profile = _raw_acceleration(r_new, inv)
-    w_new = w_half + (0.5 * dt) * accel_new
-    return r_new, w_new, accel_new, profile
+    w_half += np.multiply(h, accel_new)
+    return r_new, w_half, accel_new, profile
 
 
 def _accepted_step(r, w, inv, accel, dt, reflection_enabled, dt_min, t):
@@ -358,7 +402,7 @@ def run(
         try:
             for target, k in targets:
                 while t < target - time_tol:
-                    dt = _raw_adaptive_dt(r, w, accel, config, t)
+                    dt = _raw_adaptive_dt(r, w, accel, config, t, profile)
                     if not math.isfinite(dt):
                         raise NumericalError("non-finite step size", time=t)
                     profile = None  # free the last sort; `inv.sort` keeps what it reuses

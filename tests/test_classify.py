@@ -327,6 +327,21 @@ class TestClassifyCascade:
         assert not report.statistically_dispersive
         assert report.virialized
 
+    def test_sufficient_condition_sets_statistical_flag(self):
+        # the escaping shell to t = 3: its variance grew 5.8x, short of
+        # STAT_GROWTH_FACTOR, and no dispersive label holds yet, but
+        # E > |Q|^2/(2M) is the paper's sufficient condition
+        ensemble, _ = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=0.5,
+                                            w_max=0.6, n=2000))
+        table = run(ensemble, IntegratorConfig(t_end=3.0, output_cadence=0.1),
+                    r_grid=(1.0, 2.0), q_list=(5.0 / 3.0,)).records
+        report = classify(table, float(table.energy[0]), 0.0, float(table.mass[0]))
+        assert report.threshold.relation == "greater"
+        assert table.variance[-1] < 10.0 * table.variance[0]
+        assert report.label == "undetermined"
+        assert report.statistically_dispersive
+        assert "E > Q^2/2M: statistically dispersive by the sufficient condition" in report.notes
+
     def test_labels_never_break_implication_chain(self):
         # dispersive labels must carry the statistical flag
         t = np.linspace(0.0, 400.0, 300)

@@ -59,6 +59,44 @@ def two_array_dt(r, w, accel, config):
     return min(max(dt, config.dt_min), config.output_cadence)
 
 
+def kernel(e):
+    """The acceleration of e and the profile of its sort, as run() holds
+    them."""
+    return dynamics._raw_acceleration(e.r, dynamics._invariants(e.ell, e.mass))
+
+
+def watched(a, passes, name):
+    """a as an array that appends name to `passes` at each elementwise
+    ufunc call over all of it; reductions and calls over a gathered part
+    are not noted."""
+    size = a.size
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if method == "__call__" and self.size == size:
+                passes.append(name)
+            inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return a.view(Watched)
+
+
+def checked_passes(r, w, accel, config, profile=None):
+    """The arrays, of "accel" and "w", that the step control passes over
+    in full given the profile (by default the sort of r), after checking
+    its dt with and without the profile against the two-array formula."""
+    r, w, accel = (np.asarray(a, dtype=np.float64) for a in (r, w, accel))
+    if profile is None:
+        profile = diagnostics._RadialOrder(np.ones(r.size))(r)
+    want = repr(two_array_dt(r, w, accel, config))
+    assert repr(_raw_adaptive_dt(r, w, accel, config, 0.0)) == want
+    passes = []
+    got = _raw_adaptive_dt(r, watched(w, passes, "w"), watched(accel, passes, "accel"),
+                           config, 0.0, profile)
+    assert repr(got) == want
+    return sorted(set(passes))
+
+
 def loop_record_times(t0, t_end, cadence):
     """The earlier record times: a Python loop over k."""
     times = []
@@ -305,29 +343,140 @@ class TestAdaptiveDt:
     def test_bitwise_equal_to_two_array_formula(self):
         # sqrt is monotone and correctly rounded, so one sqrt of the
         # minimum gives the bits of the minimum of the sqrts; w = 0 takes
-        # the eps guard, and a run of ties changes nothing
+        # the eps guard, and a run of ties changes nothing.  With the
+        # profile, each way of the step control is taken: the force scale
+        # from the innermost shells with or without the kinematic pass,
+        # and the two full passes
         rng = np.random.default_rng(11)
         cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9, dt_safety=0.3)
         zeros = 0
+        ways = Counter()
         for e in tied_ensembles(9):
             w = np.where(rng.random(e.n) < 0.3, 0.0, e.w)
             zeros += int(np.count_nonzero(w == 0.0))
-            accel = acceleration(e)
-            got = _raw_adaptive_dt(e.r, w, accel, cfg, 0.0)
+            accel, profile = kernel(e)
+            got = _raw_adaptive_dt(e.r, w, accel, cfg, 0.0, profile)
             assert cfg.dt_min < got < cfg.output_cadence
             assert repr(got) == repr(two_array_dt(e.r, w, accel, cfg))
+            ways[tuple(checked_passes(e.r, w, accel, cfg, profile))] += 1
         assert zeros > 1000
+        assert set(ways) == {(), ("w",), ("accel", "w")}, ways
+
+    def test_force_scale_ruled_out_by_its_floor(self):
+        # an escaping shell: every shell shares one kinematic scale far
+        # below sqrt(min r / max|a|), so the force scale is never computed
+        e = build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25, w_min=0.5, w_max=0.6,
+                                  n=500, seed=4))[0]
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9, dt_safety=0.05)
+        accel, profile = kernel(e)
+        assert checked_passes(e.r, e.w, accel, cfg, profile) == ["w"]
+
+    K = dynamics._INNER
+
+    def test_force_scale_certified_at_the_bound(self):
+        # the innermost shells' least r/(|a| + eps), 64.5, lies between
+        # r_(K-1)/max|a| = 64 and r_(K)/max|a| = 65, where K = 64 and
+        # r_(K) is the radius just past them: only the bound with r_(K)
+        # certifies it.  w = 0 rules the kinematic scale out
+        n = 2 * self.K
+        r = 1.0 + np.arange(n)
+        accel = np.full(n, -1.0e-3)
+        accel[0] = -1.0 / (self.K + 0.5)
+        accel[-1] = -1.0
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
+        assert checked_passes(r, np.zeros(n), accel, cfg) == []
+
+    @pytest.mark.parametrize("at", [K, 2 * K - 1])
+    def test_force_minimum_outside_innermost_shells(self, at):
+        # a strongly accelerated outer shell has the least r/|a|, just
+        # below the innermost shells' 1e6; at r_(K) it also lies within
+        # r_(K+1)/max|a|, so a bound one radius further out would miss it
+        n = 2 * self.K
+        r = 1.0 + np.arange(n)
+        accel = np.full(n, -1.0e-6)
+        accel[at] = -(r[at] + 0.5) * 1.0e-6
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
+        assert "accel" in checked_passes(r, np.zeros(n), accel, cfg)
+
+    @pytest.mark.parametrize("n", [1, 2, K - 1, K])
+    def test_no_more_shells_than_innermost(self, n):
+        # no radius lies past the innermost shells to bound the others
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            r = 10.0 ** rng.uniform(-1.0, 1.0, n)
+            checked_passes(r, rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n), cfg)
+
+    @pytest.mark.parametrize("strong", [0, 1, 2])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_tie_at_first_radius_past_innermost(self, strong, flip):
+        # three shells share the K-th and (K+1)-th sorted radius; one of
+        # them, inside the innermost K or past them, has the least r/|a|
+        n = 2 * self.K
+        r = 1.0 + np.arange(n)
+        tied = [self.K - 1, self.K, self.K + 1]
+        r[tied] = r[self.K - 1]
+        accel = np.full(n, -1.0e-6)
+        accel[tied[strong]] = -(r[self.K - 1] + 0.5) * 1.0e-6
+        if flip:
+            r, accel = r[::-1].copy(), accel[::-1].copy()
+        profile = diagnostics._RadialOrder(np.ones(n))(r)
+        assert profile[0][self.K - 1] == profile[0][self.K] == profile[0][self.K + 1]
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
+        checked_passes(r, np.zeros(n), accel, cfg, profile)
+
+    def test_zero_w_everywhere(self):
+        # max|w| = 0: the kinematic bound is min r / eps, which the force
+        # scale never reaches
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9, dt_safety=0.3)
+        for e in tied_ensembles(13, count=40, n_max=400):
+            checked_passes(e.r, np.zeros(e.n), kernel(e)[0], cfg)
+
+    def test_bounds_add_eps_as_the_formula_does(self):
+        # max|a| or max|w| at eps = 1e-30: a bound divided by the bare
+        # maximum would be twice too large and pass a wrong scale
+        cfg = IntegratorConfig(t_end=1.0, output_cadence=1e300)
+        k = self.K
+        # innermost least r/(|a| + eps) 1e30, the shell at r_(K) 0.75e30
+        r = np.concatenate([np.linspace(1.0, 1.25, k), [1.5], np.linspace(2.0, 3.0, k)])
+        accel = np.zeros(r.size)
+        accel[k] = -1.0e-30
+        assert "accel" in checked_passes(r, np.zeros(r.size), accel, cfg)
+        # force scale sqrt(0.5e30) below the kinematic 8.3e14, which lies
+        # below sqrt(min r / max|a|) = 1e15
+        checked_passes([1.0, 2.0], [1.2e-15, 0.0], [-1.0e-30, 0.0], cfg)
+        # force scale 0.75 certified; kinematic 0.5, below min r / max|w| = 1
+        r = 1.0e-30 * (1.0 + np.arange(2 * k))
+        w, accel = np.zeros(r.size), np.zeros(r.size)
+        w[0], accel[0] = 1.0e-30, -0.78e-30
+        assert checked_passes(r, w, accel, cfg) == ["w"]
 
     def test_unresolvable_force_raises_at_its_time(self):
         # the outer of two shells near the centre feels a force whose time
         # scale is about 1e-15, below dt_min = 1e-13
         e = Ensemble(2.5, [1e-10, 2e-10], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
         cfg = IntegratorConfig(t_end=3.0, output_cadence=0.5)
-        with pytest.raises(StiffnessError) as err:
-            _raw_adaptive_dt(e.r, e.w, acceleration(e), cfg, e.time)
-        assert err.value.time == 2.5
+        accel, profile = kernel(e)
+        for sort in (None, profile):
+            with pytest.raises(StiffnessError) as err:
+                _raw_adaptive_dt(e.r, e.w, accel, cfg, e.time, sort)
+            assert err.value.time == 2.5
         with pytest.raises(StiffnessError):
             run(e, cfg)
+
+    @pytest.mark.parametrize("n", [2, 128])
+    def test_unresolvable_force_raises_under_faster_kinematic_scale(self, n):
+        # r/|w| = 1e-20 lies below sqrt(min r / max|a|), about 1e-15 and
+        # itself below dt_min: the force scale may be skipped only when
+        # safety times that floor reaches dt_min, so it still raises
+        r = 1.0e-10 * (1.0 + np.arange(n))
+        e = Ensemble(2.5, r, np.full(n, 1.0e10), np.zeros(n), np.ones(n))
+        cfg = IntegratorConfig(t_end=3.0, output_cadence=0.5)
+        accel, profile = kernel(e)
+        for sort in (None, profile):
+            with pytest.raises(StiffnessError) as err:
+                _raw_adaptive_dt(e.r, e.w, accel, cfg, e.time, sort)
+            assert err.value.time == 2.5
 
     def test_short_kinematic_scale_is_clamped(self):
         # a force-free radial shell 1e-20 from the centre: r/|w| is far
@@ -340,14 +489,22 @@ class TestAdaptiveDt:
         assert radii[1:] == pytest.approx([0.5, 1.0], rel=1e-12)
 
     def test_nan_gives_non_finite_dt(self):
-        # Python's min() would drop the NaN and return a finite step
+        # Python's min() would drop the NaN and return a finite step; with
+        # the profile, a NaN radius sorts last, past the innermost shells,
+        # and the force here is that of the finite radii
         cfg = IntegratorConfig(t_end=1.0, output_cadence=1e9)
-        for e in tied_ensembles(10, count=20, n_max=50):
+        ensembles = list(tied_ensembles(10, count=20, n_max=50))
+        ensembles += list(tied_ensembles(12, count=20, n_max=400))
+        for e in ensembles:
             for k in {0, e.n // 2, e.n - 1}:
-                for into_w in (True, False):
-                    w, accel = e.w.copy(), acceleration(e)
-                    (w if into_w else accel)[k] = np.nan
-                    assert not math.isfinite(_raw_adaptive_dt(e.r, w, accel, cfg, 0.0))
+                for into in ("w", "accel", "r"):
+                    r, w = e.r.copy(), e.w.copy()
+                    accel, profile = kernel(e)
+                    {"r": r, "w": w, "accel": accel}[into][k] = np.nan
+                    if into == "r":
+                        profile = diagnostics._RadialOrder(e.mass)(r)
+                    for sort in (None, profile):
+                        assert not math.isfinite(_raw_adaptive_dt(r, w, accel, cfg, 0.0, sort))
 
 
 class TestRun:
@@ -511,7 +668,7 @@ class TestRun:
                     waited.append(stepped_from[0] < raw.time + cfg.output_cadence)
 
         def adaptive_dt(*args):
-            stepped_from[0] = args[-1]
+            stepped_from[0] = args[4]
             return _raw_adaptive_dt(*args)
 
         monkeypatch.setattr(dynamics, "diagnostics_record", wrapped)
@@ -527,6 +684,34 @@ class TestRun:
         assert calls == [1] * 17
         assert all(waited) and len(waited) == 17
         assert_tables_bitwise_equal(table, plain)
+
+    @pytest.mark.parametrize("scenario", ["core", "shell_plus_core", "shell"])
+    def test_step_control_bounds_leave_table_bytes(self, monkeypatch, scenario):
+        # run() hands the step control the sort of the current radii, and
+        # its table equals that of a step control given no profile
+        core = CoreSpec(mass=1.0, radius=1.0, n=2000, seed=7)
+        shell = ShellSpec(mass=0.2, r_inner=2.0, r_outer=2.5, w_min=0.42, w_max=0.48,
+                          n=300, seed=8)
+        ens = {"core": lambda: build_circular_core(core),
+               "shell_plus_core": lambda: build_shell_plus_core(core, shell)[0],
+               "shell": lambda: build_shell(ShellSpec(mass=1.0, r_inner=1.0, r_outer=1.25,
+                                                      w_min=0.5, w_max=0.6, n=2000))[0]}[scenario]()
+        cfg = IntegratorConfig(t_end=8.0, output_cadence=0.5, dt_safety=0.05)
+        kw = {"r_grid": (1.0, 4.0), "q_list": (5.0 / 3.0,)}
+        sorts = []
+
+        def checked(r, w, accel, config, t, profile):
+            sorts.append(np.array_equal(profile[0], np.sort(r)))
+            return _raw_adaptive_dt(r, w, accel, config, t, profile)
+
+        def without_profile(r, w, accel, config, t, profile=None):
+            return _raw_adaptive_dt(r, w, accel, config, t)
+
+        monkeypatch.setattr(dynamics, "_raw_adaptive_dt", checked)
+        table = run(ens, cfg, **kw).records
+        assert len(sorts) > 16 and all(sorts)
+        monkeypatch.setattr(dynamics, "_raw_adaptive_dt", without_profile)
+        assert_tables_bitwise_equal(table, run(ens, cfg, **kw).records)
 
     def test_deterministic_rerun(self):
         import vpshell
