@@ -150,7 +150,8 @@ def cmd_kurth(k, t_end, cadence, q_list, out_dir, r_grid=(1.0, 2.0, 4.0)):
 def cmd_classify(csv_path, energy=None, momentum=0.0, mass=None, out_path=None):
     """Classify a diagnostics file; writes a JSON report when asked.
 
-    `energy` and `mass` default to the first-row values of the file.
+    `energy` and `mass` default to the first-row values of the file; a
+    first `M` that is not positive raises ClassifyInputError at row 2.
     Returns the ClassificationReport.
     """
     return _report(read_diagnostics(csv_path), energy, momentum, mass, out_path)
@@ -162,6 +163,8 @@ def _report(parsed, energy=None, momentum=0.0, mass=None, out_path=None):
         energy = float(parsed.energy[0])
     if mass is None:
         mass = float(parsed.mass[0])
+        if not mass > 0.0:
+            raise ClassifyInputError(f"column M must be positive, found {mass!r}", row=2)
     report = _classify(parsed, energy, momentum, mass)
     if out_path is not None:
         _write_json(out_path, report.to_dict())

@@ -21,8 +21,9 @@ one value each), so only a run's first cell goes through `repr`, and a
 non-finite one is written empty.  Equality is on bits, so `-0.0` keeps
 its sign and every cell is as `_fmt` writes it.  The column rule (`normalised`)
 makes a column with a missing or non-finite cell None if it is optional
-and a ClassifyInputError if it is required; the reader applies it too,
-so a run's normalised table equals the read of its file bit for bit.
+and a ClassifyInputError if it is required, and so is a `t` column that
+does not strictly increase; the reader applies it too, so a run's
+normalised table equals the read of its file bit for bit.
 """
 
 from __future__ import annotations
@@ -176,6 +177,10 @@ def normalised(table):
         field: _column(getattr(table, field), name, needed)
         for name, field, needed in _SCHEMA
     }
+    times = fixed["times"]
+    if not np.all(times[1:] > times[:-1]):
+        row = 3 + int(np.argmin(times[1:] > times[:-1]))
+        raise ClassifyInputError("column t must strictly increase", row=row)
     conc = {R: _column(v, f"conc_R{R}", True) for R, v in table.conc.items()}
     lq = {q: _column(v, f"lq_{q}", True) for q, v in table.lq.items()}
     return ParsedRun(**fixed, conc=conc, lq=lq)
@@ -185,7 +190,8 @@ def read_diagnostics(path):
     """Parse a diagnostics CSV back into its normalised table.
 
     Raises ClassifyInputError with the offending row number when the
-    header or a data row does not conform.
+    header or a data row does not conform: a column named twice, as
+    `conc_R1` and `conc_R1.0` are, is refused at row 1.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -203,11 +209,14 @@ def read_diagnostics(path):
             if name.startswith("conc_R"):
                 if lq_exponents:
                     raise ClassifyInputError("conc_R columns must precede lq_", row=1)
-                conc_radii.append(float(name[len("conc_R") :]))
+                values, value = conc_radii, float(name[len("conc_R") :])
             elif name.startswith("lq_"):
-                lq_exponents.append(float(name[len("lq_") :]))
+                values, value = lq_exponents, float(name[len("lq_") :])
             else:
                 raise ClassifyInputError(f"unknown column {name!r}", row=1)
+            if value in values:
+                raise ClassifyInputError(f"repeated column {name!r}", row=1)
+            values.append(value)
     except ValueError as exc:
         raise ClassifyInputError(str(exc), row=1)
 

@@ -33,17 +33,12 @@ __all__ = [
 FOUR_PI = 4.0 * math.pi
 
 # An unchecked, uncopied state for `diagnostics_record`; `run()` sets the
-# total mass, the shell `_selector` and the `_workspace` once per run.
+# total mass, the "shell" group mask (or None) and the `_workspace` once.
 RawState = namedtuple("RawState", "time r w ell mass total_mass shell work")
 
-
-def _selector(mask):
-    """None for an empty mask, a slice when its set entries are
-    contiguous (as every scenario builder makes groups), else indices."""
-    idx = np.flatnonzero(mask)
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx if idx.size else None
+# A `_RadialOrder` call: radii and masses by increasing radius, the read-only
+# mass prefix sums, the sorting order and whether two radii tie (or are NaN).
+SortedRadii = namedtuple("SortedRadii", "r mass prefix order tied")
 
 
 def _prefix_sums(m_sorted):
@@ -68,37 +63,34 @@ def _scrambled(r, order=None):
 class _RadialOrder:
     """The one sort of radii in the package, for the shells of `mass`.
 
-    Calling it with radii r returns (r_sorted, m_sorted, prefix, order,
-    tied): radii and masses in increasing radius, the read-only mass
-    prefix sums (`prefix[k]` is the mass of the first k shells), the
-    order that sorts them and whether two sorted radii tie (or are NaN).
-    The force kernel and every diagnostic start from it.  Ties are
-    broken by original index: the order is the stable sort's whatever
-    path ran, and enclosed-mass queries use strict comparison, so
-    coincident radii never see each other's mass.
+    Calling it with radii r returns their `SortedRadii`; the force kernel
+    and every diagnostic start from it.  Ties are broken by original
+    index: the order is the stable sort's whatever path ran, and
+    enclosed-mass queries use strict comparison, so coincident radii
+    never see each other's mass.
 
-    The paths, each giving the stable sort's bits:
-    - nearly sorted radii (a static core) take the stable timsort;
-    - scrambled radii (more than 1/16 of the `_scrambled` probe
-      descends: crossing shells) start from the order of the last
-      scrambled sort.  Only the shells that crossed since are out of
-      place there, so when r in that order is no longer scrambled, the
-      stable sort of it is cheap; it is taken if its radii strictly
-      increase, since without a tie the sorting permutation is unique.
-      While the masses in radius order stay the same (no two shells of
-      different mass swapped, as when a shell escapes a core) the last
-      masses and prefix are kept as they are, with no cumsum;
-    - other scrambled radii (the first ones, those still scrambled in
-      the last order, a tie there) take numpy's default SIMD argsort,
-      and after a tie the stable sort again.
+    A call first finds the order.  Scrambled radii (more than 1/16 of
+    the `_scrambled` probe descends: crossing shells) try the order of
+    the last scrambled sort: only the shells that crossed since are out
+    of place there, so unless r is still scrambled in it, its stable
+    sort is cheap, and it is taken if its radii strictly increase
+    (without a tie the sorting permutation is unique).  Otherwise the
+    cold sort runs: the stable timsort for nearly sorted radii (a static
+    core), which never read the last sort, and numpy's default SIMD
+    argsort for scrambled ones, then the stable sort after a tie.
 
-    When every mass is equal (every shell and core builder makes them
-    so) the sorted masses are `mass` itself and the prefix is built once
-    here, with no gather and no cumsum per call: equal positive masses
-    have the same bits in any order.  The last (m_sorted, prefix,
-    order) is kept only after scrambled radii, and dropped before any
-    other sort, so no more than one sort's arrays outlive a call.  A
-    run owns one instance; nothing of it outlives the run.
+    The sorted masses and prefix are then chosen in one place.  Equal
+    masses (every builder makes them so) take `mass` itself and the
+    prefix built once here: equal positive masses have the same bits in
+    any order.  Else the last sort's masses and prefix are kept, on
+    either path, while the masses in radius order stay the same (no two
+    shells of different mass swapped, as when a shell escapes a core).
+    Else the masses are gathered (on the warm path from the last sorted
+    masses, which it reads nearly in order) and summed.
+
+    The last (masses, prefix, order) is kept only after scrambled radii
+    and dropped at every call, so no more than one sort's arrays outlive
+    a call.  A run owns one instance; nothing of it outlives the run.
     """
 
     def __init__(self, mass):
@@ -108,44 +100,37 @@ class _RadialOrder:
 
     def __call__(self, r):
         scrambled = _scrambled(r)
-        profile = self._warm(r) if scrambled and self._last is not None else None
-        if profile is None:
-            self._last = None
+        # the last sort is read only for scrambled radii, and dropped either way
+        last = self._last if scrambled else None
+        self._last = None
+        order = None
+        if last is not None:
+            last_mass, last_prefix, last_order = last
+            if not _scrambled(r, last_order):
+                r_last = r[last_order]
+                local = np.argsort(r_last, kind="stable")
+                r_sorted = r_last[local]
+                if np.all(r_sorted[1:] > r_sorted[:-1]):
+                    order, tied, masses, index = last_order[local], False, last_mass, local
+        if order is None:
             order = np.argsort(r, kind=None if scrambled else "stable")
             r_sorted = r[order]
             tied = not np.all(r_sorted[1:] > r_sorted[:-1])
             if tied and scrambled:
                 order = np.argsort(r, kind="stable")
                 r_sorted = r[order]
-            if self.equal_prefix is None:
-                m_sorted = self.mass[order]
-                profile = r_sorted, m_sorted, _prefix_sums(m_sorted), order, tied
-            else:
-                profile = r_sorted, self.mass, self.equal_prefix, order, tied
-        if scrambled:
-            self._last = profile[1:4]
-        return profile
-
-    def _warm(self, r):
-        """The profile sorted from the last order, or None when r in that
-        order is still scrambled or its sort has a tie or a NaN.  The last
-        sort is dropped either way."""
-        last_mass, last_prefix, last_order = self._last
-        self._last = None
-        if _scrambled(r, last_order):
-            return None
-        r_last = r[last_order]
-        local = np.argsort(r_last, kind="stable")
-        r_sorted = r_last[local]
-        if not np.all(r_sorted[1:] > r_sorted[:-1]):
-            return None
-        order = last_order[local]
+            masses, index = self.mass, order
         if self.equal_prefix is not None:
-            return r_sorted, self.mass, self.equal_prefix, order, False
-        m_sorted = last_mass[local]
-        if np.array_equal(m_sorted, last_mass):
-            return r_sorted, last_mass, last_prefix, order, False
-        return r_sorted, m_sorted, _prefix_sums(m_sorted), order, False
+            m_sorted, prefix = self.mass, self.equal_prefix
+        else:
+            m_sorted = masses[index]
+            if last is not None and np.array_equal(m_sorted, last_mass):
+                m_sorted, prefix = last_mass, last_prefix
+            else:
+                prefix = _prefix_sums(m_sorted)
+        if scrambled:
+            self._last = m_sorted, prefix, order
+        return SortedRadii(r_sorted, m_sorted, prefix, order, tied)
 
 
 def _field_energy(r_sorted, prefix):
@@ -420,14 +405,15 @@ def diagnostics_record(
     computed once per record; an `Ensemble` gets a workspace for this
     call.
 
-    `run()` passes a `RawState`, whose shell selector replaces the
-    group test and whose workspace lives as long as the run, and the
-    step kernel's (r_sorted, m_sorted, prefix); it writes the row into
-    its table.
+    `run()` passes a `RawState`, whose shell mask replaces the group
+    test and whose workspace lives as long as the run, and the step
+    kernel's `SortedRadii` as `profile`; it writes the row into its
+    table.
     """
     t = ensemble.time
     is_raw = isinstance(ensemble, RawState)
-    r, mass, prefix = profile or _RadialOrder(ensemble.mass)(ensemble.r)[:3]
+    profile = profile or _RadialOrder(ensemble.mass)(ensemble.r)
+    r, mass, prefix = profile.r, profile.mass, profile.prefix
     e_kin = kinetic_energy(ensemble)
     e_pot = _field_energy(r, prefix)
     radii = tuple(map(float, r_grid))
@@ -443,8 +429,8 @@ def diagnostics_record(
             n_bins = int(math.ceil(math.sqrt(r.size)))
         hist = _radial_profile(r, prefix, n_bins)
         norms = [lq_norm(hist, q) for q in q_list]
-    shell = ensemble.shell if is_raw else _selector(ensemble.group == "shell")
-    r1_shell = r[0] if shell is None else ensemble.r[shell].min()
+    shell = ensemble.shell if is_raw else ensemble.group == "shell"
+    r1_shell = r[0] if shell is None or not shell.any() else ensemble.r[shell].min()
     return np.array([
         t, e_kin - e_pot, e_kin, e_pot, ensemble.total_mass,
         statistical_dispersion(ensemble), dilation_moment(ensemble),

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import FIXED_COLUMNS, ParsedRun, table_of
-from .diagnostics import RawState, _RadialOrder, _selector, _workspace, diagnostics_record
+from .diagnostics import RawState, _RadialOrder, _workspace, diagnostics_record
 from .ensemble import Ensemble
 from .errors import DomainError, NumericalError, StiffnessError
 
@@ -133,18 +133,18 @@ class TrajectorySink:
 
 def _raw_acceleration(r, inv):
     """The acceleration at radii r, with ell and the masses of the
-    `_Invariants` inv, and the profile its sort returned."""
-    r_sorted, _, prefix, order, tied = profile = inv.sort(r)
+    `_Invariants` inv, and the `SortedRadii` its sort returned."""
+    profile = inv.sort(r)
     # exclusive prefix in radius order: the mass of every earlier shell
-    prefix = prefix[:-1]
-    if tied:
+    prefix = profile.prefix[:-1]
+    if profile.tied:
         # equal radii take the prefix of their group's first member
-        first = np.arange(r_sorted.size)
-        first[1:][r_sorted[1:] == r_sorted[:-1]] = 0
+        first = np.arange(r.size)
+        first[1:][profile.r[1:] == profile.r[:-1]] = 0
         np.maximum.accumulate(first, out=first)
         prefix = prefix[first]
     enclosed = np.empty_like(prefix)
-    enclosed[order] = prefix
+    enclosed[profile.order] = prefix
     # ell^2/((r r) r) - M/((4 pi r) r) with two temporaries, not eight
     den = FOUR_PI * r
     enclosed /= np.multiply(den, r, out=den)
@@ -176,9 +176,9 @@ def _raw_adaptive_dt(r, w, accel, config, t, profile=None):
     shell nears the centre, which only a step of dt_min reaches, to be
     reflected or rejected there.  NaN is returned as is.
 
-    With the `profile` of r, a scale is computed over all shells only
-    when it can set the step.  Every shell past the `_INNER` innermost
-    has r >= r_(K) = profile[0][_INNER] and |a| <= max|a|, so when
+    With the `SortedRadii` profile of r, a scale is computed over all
+    shells only when it can set the step.  Every shell past the `_INNER`
+    innermost has r >= r_(K) = profile.r[_INNER] and |a| <= max|a|, so when
     r_(K) / (max|a| + eps) is no smaller than the least r/(|a| + eps) of
     those innermost, that least value is the minimum over all.  The
     force scale cannot set the step when sqrt(min r / (max|a| + eps)) is
@@ -191,13 +191,13 @@ def _raw_adaptive_dt(r, w, accel, config, t, profile=None):
     # sqrt of the min is the min of the sqrts; np.minimum keeps a NaN
     eps = 1.0e-30
     a_max = max(accel.max(), -accel.min())
-    r_min = r.min() if profile is None else profile[0][0]
+    r_min = r.min() if profile is None else profile.r[0]
     dt_dyn = None
     # a NaN radius sorts last, where the test fails
-    if profile is not None and r.size > _INNER and profile[0][-1] < math.inf:
-        inner = profile[3][:_INNER]
+    if profile is not None and r.size > _INNER and profile.r[-1] < math.inf:
+        inner = profile.order[:_INNER]
         least = np.min(r[inner] / (np.abs(accel[inner]) + eps))
-        if least <= profile[0][_INNER] / (a_max + eps):
+        if least <= profile.r[_INNER] / (a_max + eps):
             dt_dyn = np.sqrt(least)
     if dt_dyn is not None and r_min / (max(w.max(), -w.min()) + eps) >= dt_dyn:
         dt_kin = dt_dyn  # the kinematic scale is no smaller
@@ -301,17 +301,17 @@ def step(ensemble: Ensemble, dt, reflection_enabled=True, dt_min=None):
 def group_stats(ensemble: Ensemble):
     """Per-group minimum radius and radial momentum, mass, variance and
     kinetic energy of a snapshot, keyed by each non-empty label."""
-    selectors = {str(name): _selector(ensemble.group == name)
-                 for name in np.unique(ensemble.group) if name != ""}
-    return _group_stats(ensemble.r, ensemble.w, ensemble.ell, ensemble.mass, selectors)
+    masks = {str(name): ensemble.group == name
+             for name in np.unique(ensemble.group) if name != ""}
+    return _group_stats(ensemble.r, ensemble.w, ensemble.ell, ensemble.mass, masks)
 
 
-def _group_stats(r, w, ell, mass, selectors):
+def _group_stats(r, w, ell, mass, masks):
     stats = {}
-    for name, sel in selectors.items():
-        gr, gw, gmass = r[sel], w[sel], mass[sel]
+    for name, mask in masks.items():
+        gr, gw, gmass = r[mask], w[mask], mass[mask]
         gm = float(np.sum(gmass))
-        tang = ell[sel] / gr
+        tang = ell[mask] / gr
         stats[name] = {
             "min_r": float(gr.min()),
             "min_w": float(gw.min()),
@@ -387,7 +387,8 @@ def run(
 
     r, w, ell, mass = ensemble.r, ensemble.w, ensemble.ell, ensemble.mass
     group = ensemble.group
-    shell = _selector(group == "shell")
+    shell = group == "shell"
+    shell = shell if shell.any() else None
     work = _workspace(r.size) if len(r_grid) else None
     # one row per column, so each table column is a contiguous row
     block = np.empty((len(FIXED_COLUMNS) + len(r_grid) + len(q_list), len(record_times)))
@@ -417,19 +418,19 @@ def run(
                     sink.snapshots.append(_state(t, r, w, ell, mass, group))
                     continue
                 # ell and mass never change; NaN radii sort last
-                r_sorted = profile[0]
-                if not (r_sorted[0] > 0.0 and r_sorted[-1] < math.inf
+                if not (profile.r[0] > 0.0 and profile.r[-1] < math.inf
                         and np.isfinite(w).all()):
                     cause = DomainError("radii must be positive and finite, w finite")
                     raise NumericalError(f"invalid state: {cause}", time=t) from cause
                 raw = RawState(t, r, w, ell, mass, ensemble.total_mass, shell, work)
-                # one record in flight: it owns `work` and holds one state
+                # one record in flight: it owns `work` and holds one state,
+                # but no order, which the next step's sort may free
                 done, pending = pending, None
                 if done is not None:
                     done.result()
                 pending = worker.submit(
                     contextvars.copy_context().run, _record, block, k, raw,
-                    r_grid, q_list, n_bins, profile[:3],
+                    r_grid, q_list, n_bins, profile._replace(order=None),
                 )
         finally:
             # a record in flight was due before whatever the loop raised

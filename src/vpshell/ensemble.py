@@ -116,8 +116,3 @@ class RadialDensityProfile:
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "bin_density", dens)
 
-    def binned_mass(self):
-        edges = self.bin_edges
-        vol = (4.0 * np.pi / 3.0) * (edges[1:] ** 3 - edges[:-1] ** 3)
-        return float(np.sum(self.bin_density * vol))
-

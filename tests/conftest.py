@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vpshell import DomainError, Ensemble, NumericalError, dynamical_time
-from vpshell.diagnostics import _RadialOrder
+from vpshell.diagnostics import SortedRadii, _RadialOrder
 
 FIELDS = (
     "times", "energy", "energy_kinetic", "energy_potential", "mass", "variance",
@@ -108,6 +108,22 @@ def integrate_phi(k, t_end):
             while next_out <= t + 1.0e-12:
                 next_out += output_cadence
     return KurthTrajectory(np.array(times), np.array(phis), np.array(pds))
+
+
+def stable_sorted_mass_profile(r, mass):
+    """Oracle of `_RadialOrder`: one stable argsort, whatever the order
+    of the radii."""
+    order = np.argsort(r, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
+    return r[order], mass[order], prefix, order
+
+
+def stable_sort(sort, r):
+    """The oracle in place of `_RadialOrder.__call__`: no last sort, no
+    equal-mass prefix, a gather and a cumsum at every call."""
+    r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, sort.mass)
+    return SortedRadii(r_sorted, m_sorted, prefix, order,
+                       bool(np.any(r_sorted[1:] == r_sorted[:-1])))
 
 
 def general_order(mass):

@@ -626,6 +626,33 @@ class TestMainExitCodes:
         path.write_text("nope\n")
         assert main(["classify", str(path)]) == 4
 
+    def test_classify_times_out_of_order_exit_4_with_row(self, tmp_path, capsys):
+        # two rows swapped: the second of them is the first whose t does
+        # not increase (this exited 2 from the classifier, with no row)
+        csv = cmd_kurth(0.5, 10.0, 0.5, (5.0 / 3.0,), str(tmp_path))
+        lines = open(csv).read().splitlines()
+        lines[4], lines[5] = lines[5], lines[4]
+        open(csv, "w").write("\n".join(lines) + "\n")
+        assert main(["classify", csv]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "row 6: column t must strictly increase" in err
+
+    @pytest.mark.parametrize("first_mass", ["0.0", "-0.0", "-1.0"])
+    def test_classify_non_positive_first_mass_exits_4_with_row(self, first_mass, tmp_path,
+                                                                capsys):
+        # the mass taken from the table is an input, not a flag: exit 4 at
+        # row 2; with --mass the first M is not read
+        csv = cmd_kurth(0.5, 10.0, 0.5, (5.0 / 3.0,), str(tmp_path))
+        lines = open(csv).read().splitlines()
+        cells = lines[1].split(",")
+        cells[4] = first_mass
+        lines[1] = ",".join(cells)
+        open(csv, "w").write("\n".join(lines) + "\n")
+        assert main(["classify", csv]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "row 2: column M must be positive" in err
+        assert main(["classify", csv, "--mass", "1.0"]) == 0
+
     def test_negative_seed_in_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "neg.cfg"
         path.write_text(SHELL_CFG.format(t_end=1.0).replace("seed = 42", "seed = -1"))

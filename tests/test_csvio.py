@@ -55,11 +55,20 @@ def value(rng, missing):
     return rng.choice(NON_FINITE) if rng.random() < missing else finite(rng)
 
 
-def random_table(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0):
+def increasing(rng, n):
+    """n distinct finite values in increasing order."""
+    values = set()
+    while len(values) < n:
+        values.add(finite(rng))
+    return np.array(sorted(values), np.float64)
+
+
+def random_table(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0, ordered=False):
     """A table of n rows whose optional cells are missing (NaN) or
     non-finite with probability `missing`, the required ones with
     `required_missing`; an optional column is None with probability
-    `missing`."""
+    `missing`.  With `ordered` the times strictly increase, as the
+    column rule requires."""
     def column(p):
         return np.array([value(rng, p) for _ in range(n)], np.float64)
 
@@ -68,6 +77,8 @@ def random_table(rng, n, r_grid, q_list, missing=0.2, required_missing=0.0):
         if field in OPTIONAL else column(required_missing)
         for field in FIELDS
     }
+    if ordered:
+        fixed["times"] = increasing(rng, n)
     return ParsedRun(**fixed, conc={R: column(required_missing) for R in r_grid},
                      lq={q: column(required_missing) for q in q_list})
 
@@ -128,7 +139,7 @@ def test_read_equals_normalised_table(tmp_path):
     for _ in range(40):
         r_grid, q_list = random_grids(rng)
         table = random_table(rng, rng.randint(1, 30), r_grid, q_list,
-                             missing=rng.choice((0.0, 0.05, 0.5)))
+                             missing=rng.choice((0.0, 0.05, 0.5)), ordered=True)
         write_diagnostics(str(path), table, r_grid, q_list)
         expected = normalised(table)
         parsed = read_diagnostics(str(path))
@@ -148,7 +159,7 @@ def test_required_non_finite_cell_raises_on_both_paths(bad, tmp_path):
     path = tmp_path / "d.csv"
     required = [f for f in FIELDS if f not in OPTIONAL]
     for target in required + ["conc", "lq"]:
-        table = random_table(rng, 12, r_grid, q_list, missing=0.0)
+        table = random_table(rng, 12, r_grid, q_list, missing=0.0, ordered=True)
         row = rng.randrange(12)
         column = table.conc[2.0] if target == "conc" else (
             table.lq[5.0 / 3.0] if target == "lq" else getattr(table, target))
@@ -160,6 +171,37 @@ def test_required_non_finite_cell_raises_on_both_paths(bad, tmp_path):
             read_diagnostics(str(path))
         assert in_memory.value.row == on_disk.value.row == row + 2
         assert str(in_memory.value) == str(on_disk.value)
+
+
+@pytest.mark.parametrize("back_to", ["previous", "first"])
+def test_times_that_do_not_increase_raise_on_both_paths(back_to, tmp_path):
+    # t at one row falls back to the row before it or to the first row;
+    # that row, the first that does not increase, is named
+    rng = random.Random(12)
+    path = tmp_path / "d.csv"
+    for row in range(1, 12):
+        table = random_table(rng, 12, (2.0,), (), missing=0.0, ordered=True)
+        times = table.times
+        times[row] = times[row - 1] if back_to == "previous" else times[0]
+        write_diagnostics(str(path), table, (2.0,), ())
+        with pytest.raises(ClassifyInputError) as in_memory:
+            normalised(table)
+        with pytest.raises(ClassifyInputError) as on_disk:
+            read_diagnostics(str(path))
+        assert in_memory.value.row == on_disk.value.row == row + 2
+        assert "column t must strictly increase" in str(on_disk.value)
+
+
+@pytest.mark.parametrize("columns", [("conc_R1.0", "conc_R1.0"), ("conc_R1", "conc_R1.0"),
+                                     ("conc_R0.0", "conc_R-0.0"), ("lq_2.0", "lq_2")])
+def test_repeated_column_is_input_error(columns, tmp_path):
+    # a second column of one value would replace the first in the table
+    path = tmp_path / "d.csv"
+    header = ",".join([diagnostics_header((), ()), "conc_R4.0", *columns])
+    path.write_text(header + "\n" + ",".join(["1.0"] * 14) + "\n")
+    with pytest.raises(ClassifyInputError) as err:
+        read_diagnostics(str(path))
+    assert err.value.row == 1 and "repeated column" in str(err.value)
 
 
 @pytest.mark.parametrize("column", ["conc_Rabc", "lq_", "conc_R"])

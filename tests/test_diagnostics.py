@@ -24,7 +24,8 @@ from vpshell.diagnostics import (
     _workspace,
 )
 from vpshell.csvio import diagnostics_header
-from conftest import galilean_shift, general_order, random_ensemble, table_columns
+from conftest import (galilean_shift, general_order, random_ensemble, stable_sort,
+                      stable_sorted_mass_profile, table_columns)
 
 
 def cumulative_mass(ensemble, r):
@@ -542,6 +543,13 @@ class TestConcentrationWorkspace:
         assert peak < 24 * n
 
 
+def binned_mass(profile):
+    """The mass of a profile: each bin's density times its volume."""
+    edges = profile.bin_edges
+    vol = (4.0 * np.pi / 3.0) * (edges[1:] ** 3 - edges[:-1] ** 3)
+    return float(np.sum(profile.bin_density * vol))
+
+
 class TestRadialProfile:
     def test_single_particle_single_bin(self):
         e = Ensemble(0.0, [2.0], [0.0], [0.0], [3.0])
@@ -557,7 +565,7 @@ class TestRadialProfile:
         for _ in range(10):
             e = random_ensemble(rng)
             prof = build_radial_profile(e, int(rng.integers(1, 40)))
-            assert prof.binned_mass() == pytest.approx(e.total_mass, rel=1e-12)
+            assert binned_mass(prof) == pytest.approx(e.total_mass, rel=1e-12)
 
     def test_matches_weighted_histogram(self, rng):
         # bins are half-open except the last, which holds the maximum
@@ -680,14 +688,6 @@ class TestGalileanShift:
             galilean_shift(1.0, (0, 0, 0), 0.0, (1, 0, 0))
 
 
-def stable_sorted_mass_profile(r, mass):
-    """Oracle of `_RadialOrder`: one stable argsort, whatever the order
-    of the radii."""
-    order = np.argsort(r, kind="stable")
-    prefix = np.concatenate(([0.0], np.cumsum(mass[order])))
-    return r[order], mass[order], prefix, order
-
-
 def radii_in_order(rng, n, kind, ties):
     r = np.sort(rng.uniform(0.5, 3.0, n))
     if ties and n > 1:
@@ -803,11 +803,7 @@ class TestRadialOrder:
         chosen = records()
         assert None in argsort_kinds  # the default argsort ordered some steps
 
-        def stable_profile(sort, r):
-            r_sorted, m_sorted, prefix, order = stable_sorted_mass_profile(r, sort.mass)
-            return r_sorted, m_sorted, prefix, order, bool(np.any(r_sorted[1:] == r_sorted[:-1]))
-
-        monkeypatch.setattr(diagnostics._RadialOrder, "__call__", stable_profile)
+        monkeypatch.setattr(diagnostics._RadialOrder, "__call__", stable_sort)
         assert chosen == records()
 
 
@@ -938,6 +934,25 @@ class TestWarmProfile:
         assert argsort_kinds == [None]
         for x, y in zip(got, stable_sorted_mass_profile(r, mass)):
             assert x.tobytes() == y.tobytes()
+
+    def test_refused_warm_start_keeps_unchanged_prefix(self, argsort_kinds):
+        # the radii of each mass value shuffled among its own shells: r is
+        # still scrambled in the last order, so the cold sort runs, yet
+        # the masses in radius order are the last ones
+        rng, r0, mass, sort, previous = self.scrambled_with_previous(10, "two values")
+        r = r0.copy()
+        for value in np.unique(mass):
+            group = np.flatnonzero(mass == value)
+            r[group] = rng.permutation(r0[group])
+        assert _scrambled(r, previous[2])
+        del argsort_kinds[:]
+        got = sort(r)
+        assert argsort_kinds == [None]
+        assert got.mass is previous[0] and got.prefix is previous[1]
+        want = stable_sorted_mass_profile(r, mass)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert self.keeps(sort, got)
 
     def test_nearly_sorted_radii_ignore_previous(self):
         rng = np.random.default_rng(8)
